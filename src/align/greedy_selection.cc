@@ -1,7 +1,6 @@
 #include "src/align/greedy_selection.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace activeiter {
 
@@ -41,24 +40,31 @@ Vector GreedySelectWithCapacity(const Vector& scores,
 
   // Pass 2: free links in decreasing score order; accept while above the
   // threshold and capacity remains. Ties broken by link id for
-  // determinism.
-  std::vector<size_t> order;
+  // determinism: records enter in id order and the sort is stable.
+  struct Ranked {
+    double score;
+    size_t id;
+  };
+  std::vector<Ranked> order;
   order.reserve(n);
+  const double* score = scores.data();
   for (size_t id = 0; id < n; ++id) {
-    if (pinned[id] == Pin::kFree && scores(id) > threshold) {
-      order.push_back(id);
+    if (pinned[id] == Pin::kFree && score[id] > threshold) {
+      order.push_back({score[id], id});
     }
   }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return scores(a) > scores(b);
-  });
-  for (size_t id : order) {
-    const auto& [u1, u2] = candidates.link(id);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Ranked& a, const Ranked& b) {
+                     return a.score > b.score;
+                   });
+  const auto& links = candidates.links();
+  for (const Ranked& ranked : order) {
+    const auto& [u1, u2] = links[ranked.id];
     if (used_first[u1] >= capacity_first ||
         used_second[u2] >= capacity_second) {
       continue;
     }
-    y(id) = 1.0;
+    y(ranked.id) = 1.0;
     ++used_first[u1];
     ++used_second[u2];
   }

@@ -3,12 +3,24 @@
 #include "src/align/hungarian.h"
 
 namespace activeiter {
+namespace {
+
+Status ValidateOptions(const IterAlignerOptions& options) {
+  if (options.c <= 0.0) {
+    return Status::InvalidArgument("IterAlignerOptions.c must be > 0");
+  }
+  if (options.max_iterations == 0) {
+    return Status::InvalidArgument(
+        "IterAlignerOptions.max_iterations must be > 0");
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<AlignmentResult> IterAligner::Align(
     const AlignmentProblem& problem) const {
-  if (options_.c <= 0.0) {
-    return Status::InvalidArgument("IterAlignerOptions.c must be > 0");
-  }
+  ACTIVEITER_RETURN_IF_ERROR(ValidateOptions(options_));
   auto session = problem.Prepare(options_.c);
   if (!session.ok()) return session.status();
   return Align(session.value());
@@ -16,9 +28,7 @@ Result<AlignmentResult> IterAligner::Align(
 
 Result<AlignmentResult> IterAligner::Align(
     const AlignmentSession& session) const {
-  if (options_.c <= 0.0) {
-    return Status::InvalidArgument("IterAlignerOptions.c must be > 0");
-  }
+  ACTIVEITER_RETURN_IF_ERROR(ValidateOptions(options_));
   if (session.c() != options_.c) {
     return Status::InvalidArgument(
         "session was prepared for a different ridge weight c");

@@ -37,7 +37,8 @@ struct IterAlignerOptions {
   /// positive. 0 matches the paper's sign(f(x)) ∈ {+1, 0} semantics.
   double threshold = 0.0;
   /// Cap on the internal alternation (the paper observes convergence in
-  /// < 5 iterations; the cap only guards pathological inputs).
+  /// < 5 iterations; the cap only guards pathological inputs). Must be
+  /// > 0: Align() rejects 0, which would leave no scores and no model.
   size_t max_iterations = 50;
   /// Label-inference algorithm (greedy is the paper's choice).
   SelectionAlgorithm selection = SelectionAlgorithm::kGreedy;

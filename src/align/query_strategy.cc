@@ -14,15 +14,52 @@ void ValidateContext(const QueryContext& ctx) {
                    ctx.index->candidate_count() == n);
 }
 
+/// The U+ links (free, y ≥ 0.5) at each user of one network, as flat
+/// runs links[begin[u] .. begin[u + 1]) in the index's list order. The
+/// index's per-user lists never hold a tombstoned link.
+struct PositivesByUser {
+  std::vector<size_t> begin;
+  std::vector<size_t> links;
+};
+
+PositivesByUser GatherPositives(const IncidenceIndex& index, bool first_side,
+                                const std::vector<Pin>& pinned,
+                                const double* y) {
+  const size_t users =
+      first_side ? index.users_first() : index.users_second();
+  PositivesByUser out;
+  out.begin.reserve(users + 1);
+  for (size_t u = 0; u < users; ++u) {
+    out.begin.push_back(out.links.size());
+    const NodeId user = static_cast<NodeId>(u);
+    for (size_t l : first_side ? index.LinksOfFirst(user)
+                               : index.LinksOfSecond(user)) {
+      if (pinned[l] == Pin::kFree && y[l] >= 0.5) out.links.push_back(l);
+    }
+  }
+  out.begin.push_back(out.links.size());
+  return out;
+}
+
 }  // namespace
 
 std::vector<size_t> ConflictQueryStrategy::SelectQueries(
     const QueryContext& ctx, size_t k, Rng* /*rng*/) {
   ValidateContext(ctx);
-  const Vector& scores = *ctx.scores;
-  const Vector& y = *ctx.y;
+  const IncidenceIndex& index = *ctx.index;
+  const double* scores = ctx.scores->data();
+  const double* y = ctx.y->data();
   const std::vector<Pin>& pinned = *ctx.pinned;
-  const size_t n = scores.size();
+  const auto& links = index.candidates().links();
+  const size_t n = links.size();
+
+  // The U+ links at every endpoint are gathered once; each U− link then
+  // visits only those at its own two endpoints. A one-to-one y leaves at
+  // most one U+ link per endpoint, so the round costs O(|H| + users).
+  const PositivesByUser first =
+      GatherPositives(index, /*first_side=*/true, pinned, y);
+  const PositivesByUser second =
+      GatherPositives(index, /*first_side=*/false, pinned, y);
 
   // Candidate set C: links in U− (inferred negative, unpinned) that
   // conflict with a near-tied positive l' and a dominated positive l''.
@@ -37,25 +74,33 @@ std::vector<size_t> ConflictQueryStrategy::SelectQueries(
   };
   std::vector<NearMiss> near_misses;
   for (size_t l = 0; l < n; ++l) {
-    if (pinned[l] != Pin::kFree || y(l) > 0.5) continue;  // need l ∈ U−
-    double score_l = scores(l);
+    if (pinned[l] != Pin::kFree || y[l] > 0.5) continue;  // need l ∈ U−
+    const double score_l = scores[l];
     bool has_close_winner = false;
     double best_gap = -1.0;
     double min_distance = -1.0;
-    for (size_t other : ctx.index->ConflictingLinks(l)) {
-      if (pinned[other] != Pin::kFree || y(other) < 0.5) continue;  // U+
-      double score_o = scores(other);
-      double distance = std::abs(score_o - score_l);
-      if (min_distance < 0.0 || distance < min_distance) {
-        min_distance = distance;
+    // A positive sharing both endpoints is visited twice; every aggregate
+    // below is a min, an any or a max, so repeats change nothing.
+    auto visit = [&](const PositivesByUser& side, size_t user) {
+      ACTIVEITER_CHECK(user + 1 < side.begin.size());
+      for (size_t i = side.begin[user]; i < side.begin[user + 1]; ++i) {
+        const size_t other = side.links[i];
+        if (other == l) continue;  // y = 0.5 puts l in both U− and U+
+        const double score_o = scores[other];
+        const double distance = std::abs(score_o - score_l);
+        if (min_distance < 0.0 || distance < min_distance) {
+          min_distance = distance;
+        }
+        if (distance <= closeness_) {
+          has_close_winner = true;  // candidate for l'
+        }
+        if (score_o > 0.0 && score_l - score_o >= dominance_) {
+          best_gap = std::max(best_gap, score_l - score_o);  // candidate l''
+        }
       }
-      if (distance <= closeness_) {
-        has_close_winner = true;  // candidate for l'
-      }
-      if (score_o > 0.0 && score_l - score_o >= dominance_) {
-        best_gap = std::max(best_gap, score_l - score_o);  // candidate l''
-      }
-    }
+    };
+    visit(first, links[l].first);
+    visit(second, links[l].second);
     // NOTE: l' and l'' are necessarily distinct when both conditions hold
     // with closeness_ < dominance-implied separation; when the same
     // positive satisfies both, querying l is still informative, so we do

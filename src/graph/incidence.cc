@@ -144,21 +144,6 @@ const std::vector<size_t>& IncidenceIndex::LinksOfSecond(NodeId u2) const {
   return by_second_[u2];
 }
 
-std::vector<size_t> IncidenceIndex::ConflictingLinks(size_t link_id) const {
-  const auto& [u1, u2] = candidates_->link(link_id);
-  std::vector<size_t> out;
-  for (size_t other : by_first_[u1]) {
-    if (other != link_id) out.push_back(other);
-  }
-  for (size_t other : by_second_[u2]) {
-    if (other != link_id &&
-        std::find(out.begin(), out.end(), other) == out.end()) {
-      out.push_back(other);
-    }
-  }
-  return out;
-}
-
 SparseMatrix IncidenceIndex::FirstIncidenceMatrix() const {
   std::vector<Triplet> trips;
   trips.reserve(candidates_->size());

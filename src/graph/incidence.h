@@ -3,8 +3,9 @@
 // The cardinality constraint of the paper (§III-C.4) is expressed through
 // the incidence matrices A(1) ∈ {0,1}^{|U1|×|H|} and A(2) ∈ {0,1}^{|U2|×|H|}:
 // the one-to-one constraint is 0 ≤ A(i)·y ≤ 1. This module builds those
-// matrices and the conflict lookup (links sharing an endpoint) that both the
-// greedy selector and the active query strategy need.
+// matrices and the per-user link lists (two links conflict iff they share
+// an endpoint) that both the greedy selector and the active query strategy
+// read.
 
 #ifndef ACTIVEITER_GRAPH_INCIDENCE_H_
 #define ACTIVEITER_GRAPH_INCIDENCE_H_
@@ -87,9 +88,9 @@ class IncidenceIndex {
   /// Validates and tombstones candidates: every id must be in range and
   /// not already removed; duplicate ids within one call are an error.
   /// Nothing mutates on failure. On success the per-user link lists are
-  /// pruned eagerly, so LinksOfFirst/LinksOfSecond, ConflictingLinks, the
-  /// incidence matrices and degree vectors never surface a removed link
-  /// (its column stays allocated but empty until CompactWith).
+  /// pruned eagerly, so LinksOfFirst/LinksOfSecond, the incidence
+  /// matrices and degree vectors never surface a removed link (its column
+  /// stays allocated but empty until CompactWith).
   Status RemoveCandidates(const std::vector<size_t>& ids);
 
   /// Finishes shrinkage after the borrowed candidate set compacted:
@@ -100,11 +101,6 @@ class IncidenceIndex {
   /// All candidate link ids incident to user u1 of network 1 / u2 of net 2.
   const std::vector<size_t>& LinksOfFirst(NodeId u1) const;
   const std::vector<size_t>& LinksOfSecond(NodeId u2) const;
-
-  /// Link ids that conflict with `link_id` (share either endpoint),
-  /// excluding `link_id` itself. Order: first-side conflicts then
-  /// second-side conflicts, each in insertion order, deduplicated.
-  std::vector<size_t> ConflictingLinks(size_t link_id) const;
 
   /// A(1): |U1| × |H| incidence matrix.
   SparseMatrix FirstIncidenceMatrix() const;

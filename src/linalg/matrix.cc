@@ -90,11 +90,35 @@ Matrix Matrix::MatMul(const Matrix& other) const {
 Vector Matrix::MatVec(const Vector& v) const {
   ACTIVEITER_CHECK_MSG(cols_ == v.size(), "MatVec shape mismatch");
   Vector out(rows_);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* a_row = row_data(i);
+  // Four rows per pass share each load of v and keep four independent
+  // add chains in flight. Every row still sums from 0.0 in ascending
+  // column order, so each entry is bitwise the row's serial dot product.
+  const double* x = v.data();
+  double* dst = out.data();
+  size_t i = 0;
+  for (; i + 4 <= rows_; i += 4) {
+    const double* r0 = data_.data() + i * cols_;
+    const double* r1 = r0 + cols_;
+    const double* r2 = r1 + cols_;
+    const double* r3 = r2 + cols_;
+    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+    for (size_t j = 0; j < cols_; ++j) {
+      const double xj = x[j];
+      acc0 += r0[j] * xj;
+      acc1 += r1[j] * xj;
+      acc2 += r2[j] * xj;
+      acc3 += r3[j] * xj;
+    }
+    dst[i] = acc0;
+    dst[i + 1] = acc1;
+    dst[i + 2] = acc2;
+    dst[i + 3] = acc3;
+  }
+  for (; i < rows_; ++i) {
+    const double* a_row = data_.data() + i * cols_;
     double acc = 0.0;
-    for (size_t j = 0; j < cols_; ++j) acc += a_row[j] * v(j);
-    out(i) = acc;
+    for (size_t j = 0; j < cols_; ++j) acc += a_row[j] * x[j];
+    dst[i] = acc;
   }
   return out;
 }

@@ -76,7 +76,9 @@ class Matrix {
   /// this · other (dimension-checked).
   Matrix MatMul(const Matrix& other) const;
 
-  /// this · v (dimension-checked).
+  /// this · v (dimension-checked). Rows are processed four at a time,
+  /// but entry i is bitwise Row(i).Dot(v): each row sums in ascending
+  /// column order.
   Vector MatVec(const Vector& v) const;
 
   /// thisᵀ · v, computed without materialising the transpose.

@@ -81,6 +81,19 @@ TEST(ActiveIterTest, RequiresOracle) {
   EXPECT_FALSE(model.Run(f.Problem(), nullptr).ok());
 }
 
+TEST(ActiveIterTest, RejectsZeroMaxIterations) {
+  // The internal alternation's rejection reaches the caller as a status;
+  // nothing downstream runs on the empty scores it would have returned.
+  ActiveFixture f(10, 0.05, 1);
+  ActiveIterOptions options;
+  options.base.max_iterations = 0;
+  ActiveIterModel model(options);
+  Oracle oracle(f.pair, options.budget);
+  auto result = model.Run(f.Problem(), &oracle);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(oracle.queries_used(), 0u);
+}
+
 TEST(ActiveIterTest, RespectsBudget) {
   ActiveFixture f(20, 0.15, 2);
   ActiveIterOptions options;

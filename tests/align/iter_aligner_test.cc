@@ -74,12 +74,21 @@ TEST(IterAlignerTest, ValidatesProblem) {
   EXPECT_FALSE(aligner.Align(bad).ok());
 }
 
-TEST(IterAlignerTest, RejectsNonPositiveC) {
+TEST(IterAlignerTest, RejectsInvalidOptions) {
   SyntheticProblem sp(5, 0.01, 1);
-  IterAlignerOptions options;
-  options.c = 0.0;
-  IterAligner aligner(options);
-  EXPECT_FALSE(aligner.Align(sp.Problem({})).ok());
+  IterAlignerOptions non_positive_c;
+  non_positive_c.c = 0.0;
+  IterAlignerOptions zero_iterations;  // would leave no scores and no model
+  zero_iterations.max_iterations = 0;
+  auto session = sp.Problem({}).Prepare(1.0);
+  ASSERT_TRUE(session.ok());
+  for (const IterAlignerOptions& options : {non_positive_c, zero_iterations}) {
+    IterAligner aligner(options);
+    EXPECT_EQ(aligner.Align(sp.Problem({})).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(aligner.Align(session.value()).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(IterAlignerTest, ConvergesAndReportsTrace) {

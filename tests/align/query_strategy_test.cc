@@ -1,8 +1,10 @@
 #include "src/align/query_strategy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +157,122 @@ TEST(ConflictStrategyTest, NearMissRequiresConflictingPositive) {
   ConflictQueryStrategy strategy(0.05, 0.05, /*fill_with_near_misses=*/true);
   Rng rng(1);
   EXPECT_TRUE(strategy.SelectQueries(f.Context(), 4, &rng).empty());
+}
+
+/// The conflict strategy written straight from its definition, in
+/// O(|H|²): a link conflicts with every other indexed link that shares an
+/// endpoint. U− is free with y ≤ 0.5, U+ is free with y ≥ 0.5. Tombstoned
+/// links keep their ids until compaction, so they still rank as U− links,
+/// but they are nobody's conflicting positive. Ties rank by link id.
+std::vector<size_t> ReferenceConflictQueries(
+    const Fixture& f, const std::vector<bool>& tombstoned, double closeness,
+    double dominance, bool fill_with_near_misses, size_t k) {
+  const auto& links = f.candidates.links();
+  const size_t n = links.size();
+  std::vector<std::pair<double, size_t>> strict;  // (−gap, link)
+  std::vector<std::pair<double, size_t>> near;    // (distance, link)
+  for (size_t l = 0; l < n; ++l) {
+    if (f.pinned[l] != Pin::kFree || f.y(l) > 0.5) continue;
+    bool close = false;
+    bool dominates = false;
+    double gap = 0.0;
+    bool any_positive = false;
+    double distance = 0.0;
+    for (size_t o = 0; o < n; ++o) {
+      const bool shares_endpoint = links[o].first == links[l].first ||
+                                   links[o].second == links[l].second;
+      if (o == l || tombstoned[o] || !shares_endpoint) continue;
+      if (f.pinned[o] != Pin::kFree || f.y(o) < 0.5) continue;
+      const double d = std::abs(f.scores(o) - f.scores(l));
+      distance = any_positive ? std::min(distance, d) : d;
+      any_positive = true;
+      close = close || d <= closeness;
+      const double margin = f.scores(l) - f.scores(o);
+      if (f.scores(o) > 0.0 && margin >= dominance) {
+        gap = dominates ? std::max(gap, margin) : margin;
+        dominates = true;
+      }
+    }
+    if (close && dominates) {
+      strict.push_back({-gap, l});
+    } else if (any_positive) {
+      near.push_back({distance, l});
+    }
+  }
+  std::sort(strict.begin(), strict.end());
+  std::sort(near.begin(), near.end());
+  std::vector<size_t> out;
+  for (const auto& [key, link] : strict) {
+    if (out.size() < k) out.push_back(link);
+  }
+  if (fill_with_near_misses) {
+    for (const auto& [key, link] : near) {
+      if (out.size() < k) out.push_back(link);
+    }
+  }
+  return out;
+}
+
+TEST(ConflictStrategyTest, MatchesBruteForceDefinition) {
+  // Small random instances: few users, so every endpoint carries several
+  // U+ links and pairs repeat; labels are not one-to-one and include the
+  // y = 0.5 boundary; both pin kinds and tombstones occur; scores sit on a
+  // dyadic grid, so ties and exact closeness/dominance boundaries occur.
+  const double kStep = 1.0 / 16.0;
+  const double kThresholds[][2] = {
+      {kStep, kStep}, {2 * kStep, kStep}, {0.05, 0.05}, {kStep, 0.0}};
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    Rng rng(seed);
+    const size_t users1 = 1 + rng.UniformInt(6);
+    const size_t users2 = 1 + rng.UniformInt(6);
+    HeteroNetwork a(NetworkSchema::SocialNetwork(), "n1");
+    a.AddNodes(NodeType::kUser, users1);
+    HeteroNetwork b(NetworkSchema::SocialNetwork(), "n2");
+    b.AddNodes(NodeType::kUser, users2);
+    Fixture f{AlignedPair(std::move(a), std::move(b)), {}, nullptr,
+              {}, {}, {}};
+    const size_t n = rng.UniformInt(41);
+    for (size_t l = 0; l < n; ++l) {
+      f.candidates.Add(static_cast<NodeId>(rng.UniformInt(users1)),
+                       static_cast<NodeId>(rng.UniformInt(users2)));
+    }
+    f.index = std::make_unique<IncidenceIndex>(f.pair, f.candidates);
+    std::vector<bool> tombstoned(n, false);
+    std::vector<size_t> removed;
+    for (size_t l = 0; l < n; ++l) {
+      if (rng.Bernoulli(0.15)) {
+        removed.push_back(l);
+        tombstoned[l] = true;
+      }
+    }
+    ASSERT_TRUE(f.index->RemoveCandidates(removed).ok());
+    f.scores = Vector(n);
+    f.y = Vector(n);
+    f.pinned.assign(n, Pin::kFree);
+    for (size_t l = 0; l < n; ++l) {
+      f.scores(l) = static_cast<double>(rng.UniformRange(-4, 16)) * kStep;
+      const double draw = rng.UniformDouble();
+      f.y(l) = draw < 0.45 ? 1.0 : draw < 0.55 ? 0.5 : 0.0;
+      const double pin = rng.UniformDouble();
+      if (pin < 0.15) f.pinned[l] = Pin::kPositive;
+      if (pin > 0.85) f.pinned[l] = Pin::kNegative;
+    }
+    const auto& [closeness, dominance] = kThresholds[seed % 4];
+    for (bool fill : {false, true}) {
+      for (size_t k : {size_t{1}, size_t{5}, n}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " fill "
+                                        << fill << " k " << k);
+        ConflictQueryStrategy strategy(closeness, dominance, fill);
+        Rng unused(0);
+        ASSERT_EQ(strategy.SelectQueries(f.Context(), k, &unused),
+                  ReferenceConflictQueries(f, tombstoned, closeness,
+                                           dominance, fill, k));
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 18000u);
 }
 
 TEST(RandomStrategyTest, PicksOnlyUnpinned) {

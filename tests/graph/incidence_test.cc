@@ -1,7 +1,5 @@
 #include "src/graph/incidence.h"
 
-#include <algorithm>
-
 #include <gtest/gtest.h>
 
 #include "src/linalg/sparse_ops.h"
@@ -43,18 +41,6 @@ TEST(IncidenceIndexTest, LinksPerUser) {
   EXPECT_EQ(index.LinksOfFirst(0), (std::vector<size_t>{0, 1}));
   EXPECT_EQ(index.LinksOfSecond(0), (std::vector<size_t>{0, 2}));
   EXPECT_EQ(index.LinksOfFirst(2), (std::vector<size_t>{4}));
-}
-
-TEST(IncidenceIndexTest, ConflictingLinks) {
-  AlignedPair pair = MakePair();
-  CandidateLinkSet c = MakeCandidates();
-  IncidenceIndex index(pair, c);
-  // Link 0 = (0,0): conflicts with 1 (shares u1=0) and 2 (shares u2=0).
-  std::vector<size_t> conflicts = index.ConflictingLinks(0);
-  std::sort(conflicts.begin(), conflicts.end());
-  EXPECT_EQ(conflicts, (std::vector<size_t>{1, 2}));
-  // Link 4 = (2,2) conflicts with nothing.
-  EXPECT_TRUE(index.ConflictingLinks(4).empty());
 }
 
 TEST(IncidenceIndexTest, IncidenceMatricesMatchDefinition) {
@@ -122,10 +108,6 @@ TEST(IncidenceIndexTest, SyncWithCandidatesIndexesAppendedLinks) {
   std::vector<size_t> of_first0 = index.LinksOfFirst(0);
   ASSERT_EQ(of_first0.size(), 3u);
   EXPECT_EQ(of_first0[2], id_b);
-  // Conflicts see the grown lists.
-  std::vector<size_t> conflicts = index.ConflictingLinks(id_b);
-  EXPECT_TRUE(std::find(conflicts.begin(), conflicts.end(), id_a) !=
-              conflicts.end());
 }
 
 TEST(IncidenceIndexDeathTest, OutOfRangeEndpointDies) {

@@ -141,7 +141,6 @@ TEST(ShrinkRejectionTest, IncidenceRemovalValidatesAtomically) {
   // even before compaction.
   EXPECT_EQ(index.LinksOfFirst(0).size(), 1u);
   EXPECT_EQ(index.LinksOfSecond(1).size(), 1u);
-  EXPECT_TRUE(index.ConflictingLinks(0).empty());
   EXPECT_EQ(index.FirstIncidenceMatrix().nnz(), 2u);
 
   // A failed batch after a successful one still mutates nothing: id 1 is

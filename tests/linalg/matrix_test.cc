@@ -52,13 +52,23 @@ TEST(MatrixTest, IdentityIsMatMulNeutral) {
 }
 
 TEST(MatrixTest, MatVecMatchesMatMul) {
-  Matrix m = RandomMatrix(4, 3, 3);
-  Vector v = {1.0, -2.0, 0.5};
-  Vector direct = m.MatVec(v);
-  Matrix vm(3, 1);
-  for (size_t i = 0; i < 3; ++i) vm(i, 0) = v(i);
-  Matrix via = m.MatMul(vm);
-  for (size_t i = 0; i < 4; ++i) EXPECT_NEAR(direct(i), via(i, 0), 1e-12);
+  // Row counts around the four-row block: the blocked passes and the
+  // remainder rows must each keep the row's ascending summation order,
+  // so every entry is bitwise the row's own dot product.
+  for (size_t rows : {0u, 1u, 3u, 4u, 5u, 9u}) {
+    SCOPED_TRACE(rows);
+    Matrix m = RandomMatrix(rows, 7, 3 + rows);
+    Vector v = {1.0, -2.0, 0.5, 3.25, -0.125, 1e-3, 7.0};
+    Vector direct = m.MatVec(v);
+    ASSERT_EQ(direct.size(), rows);
+    Matrix vm(7, 1);
+    for (size_t j = 0; j < 7; ++j) vm(j, 0) = v(j);
+    Matrix via = m.MatMul(vm);
+    for (size_t i = 0; i < rows; ++i) {
+      EXPECT_EQ(direct(i), m.Row(i).Dot(v));
+      EXPECT_NEAR(direct(i), via(i, 0), 1e-12);
+    }
+  }
 }
 
 TEST(MatrixTest, TransposeMatVecMatchesExplicitTranspose) {

@@ -3,11 +3,11 @@
 // This header IS the public serving API. Query callers — serve_cli, the
 // examples, integration tests, any future RPC front end — program against
 // QueryBackend and the ScoredLink value type only; AlignmentService,
-// ModelSnapshot, DeltaIngestor and ShardedIngestor are implementation
-// detail of the write side. Two implementations exist:
+// ModelSnapshot and ShardedIngestor are implementation detail of the
+// write side. Two implementations exist:
 //
 //   AlignmentService   one snapshot-swap service over one candidate slice
-//                      (the whole set in the unsharded deployment);
+//                      (the whole set when there is one shard);
 //   ShardRouter        fans queries across N AlignmentServices that own
 //                      disjoint user-range slices of H and merges.
 //

@@ -16,9 +16,9 @@
 // concurrently — the proximity tables are plain const data.
 //
 // Writer discipline: exactly one thread calls Apply/Refresh/Extract at a
-// time, and never concurrently with readers. Both DeltaIngestor (its own
-// worker) and ShardedIngestor (the coordinator, between shard fan-outs)
-// uphold this by construction.
+// time, and never concurrently with readers. ShardedIngestor's
+// coordinator upholds this by construction: it writes a plane buffer only
+// while no shard absorbs from it.
 
 #ifndef ACTIVEITER_SERVE_FEATURE_PLANE_H_
 #define ACTIVEITER_SERVE_FEATURE_PLANE_H_

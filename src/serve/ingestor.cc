@@ -20,16 +20,6 @@ Counter& RowsRemovedCounter() {
 
 ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas) {
   ServeDelta merged;
-  if (deltas.empty()) return merged;
-  // Id mode (explicit global ids vs implicit numbering) comes from the
-  // first batch that brings candidates; graph-only batches are neutral.
-  bool with_ids = false;
-  for (const ServeDelta& d : deltas) {
-    if (!d.new_candidates.empty()) {
-      with_ids = !d.candidate_ids.empty();
-      break;
-    }
-  }
   // Fold one side's edge lists in, collapsing opposing operations: a
   // removal cancels one pending same-key addition and an addition cancels
   // one pending same-key removal (add-then-remove and remove-then-re-add
@@ -62,13 +52,8 @@ ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas) {
     }
   };
   for (ServeDelta& d : deltas) {
-    ACTIVEITER_CHECK_MSG(
-        d.candidate_ids.empty() ||
-            d.candidate_ids.size() == d.new_candidates.size(),
-        "candidate_ids must be empty or parallel to new_candidates");
-    ACTIVEITER_CHECK_MSG(
-        d.new_candidates.empty() || !d.candidate_ids.empty() == with_ids,
-        "cannot merge batches that mix explicit and implicit link ids");
+    ACTIVEITER_CHECK_MSG(d.candidate_ids.empty(),
+                         "batches are merged before routing assigns ids");
     merge_side(merged.graph.first, d.graph.first);
     merge_side(merged.graph.second, d.graph.second);
     // Anchor reveal/retraction collapse on the exact link.
@@ -91,31 +76,25 @@ ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas) {
       }
     }
     // Candidate add/remove collapse on the endpoint pair: a removal
-    // cancels the pending addition (and its explicit id), a re-add cancels
-    // the pending removal (the candidate keeps its existing row/id).
-    for (size_t i = 0; i < d.new_candidates.size(); ++i) {
+    // cancels the pending addition, a re-add cancels the pending removal
+    // (the candidate keeps its existing row/id).
+    for (const auto& c : d.new_candidates) {
       auto it = std::find(merged.removed_candidates.begin(),
-                          merged.removed_candidates.end(),
-                          d.new_candidates[i]);
+                          merged.removed_candidates.end(), c);
       if (it != merged.removed_candidates.end()) {
         merged.removed_candidates.erase(it);
-        continue;
+      } else {
+        merged.new_candidates.push_back(c);
       }
-      merged.new_candidates.push_back(d.new_candidates[i]);
-      if (with_ids) merged.candidate_ids.push_back(d.candidate_ids[i]);
     }
     for (const auto& r : d.removed_candidates) {
-      bool cancelled = false;
-      for (size_t i = 0; i < merged.new_candidates.size(); ++i) {
-        if (merged.new_candidates[i] != r) continue;
-        merged.new_candidates.erase(merged.new_candidates.begin() + i);
-        if (with_ids) {
-          merged.candidate_ids.erase(merged.candidate_ids.begin() + i);
-        }
-        cancelled = true;
-        break;
+      auto it = std::find(merged.new_candidates.begin(),
+                          merged.new_candidates.end(), r);
+      if (it != merged.new_candidates.end()) {
+        merged.new_candidates.erase(it);
+      } else {
+        merged.removed_candidates.push_back(r);
       }
-      if (!cancelled) merged.removed_candidates.push_back(r);
     }
   }
   return merged;
@@ -168,16 +147,13 @@ ModelShard::ModelShard(CandidateLinkSet candidates,
       }()),
       global_ids_(std::move(global_ids)) {
   ACTIVEITER_CHECK(service != nullptr);
-  ACTIVEITER_CHECK_MSG(
-      global_ids_.empty() || global_ids_.size() == candidates_.size(),
-      "global_ids must be empty (identity) or cover the candidate set");
+  ACTIVEITER_CHECK_MSG(global_ids_.size() == candidates_.size(),
+                       "global_ids must cover the candidate set");
   for (size_t i = 1; i < global_ids_.size(); ++i) {
     ACTIVEITER_CHECK_MSG(global_ids_[i] > global_ids_[i - 1],
                          "global link ids must be strictly increasing");
   }
-  next_global_id_ =
-      global_ids_.empty() ? candidates_.size() : global_ids_.back() + 1;
-  if (!global_ids_.empty() && candidates_.empty()) next_global_id_ = 0;
+  next_global_id_ = global_ids_.empty() ? 0 : global_ids_.back() + 1;
 }
 
 Status ModelShard::Start(FeaturePlane& plane) {
@@ -250,22 +226,13 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
   // Global link ids are internal plumbing (assigned by the shard layer),
   // so malformed ids are a programming error, not a Status.
   ACTIVEITER_CHECK_MSG(
-      slice.candidate_ids.empty() ||
-          slice.candidate_ids.size() == slice.new_candidates.size(),
-      "candidate_ids must be empty or parallel to new_candidates");
-  if (!slice.candidate_ids.empty()) {
-    size_t last = next_global_id_;
-    for (size_t id : slice.candidate_ids) {
-      ACTIVEITER_CHECK_MSG(id >= last,
-                           "global link ids must be strictly increasing");
-      last = id + 1;
-    }
-    // Entering explicit-id mode: materialise the identity prefix the
-    // implicit mode stood for.
-    if (global_ids_.empty() && !candidates_.empty()) {
-      global_ids_.resize(candidates_.size());
-      for (size_t i = 0; i < global_ids_.size(); ++i) global_ids_[i] = i;
-    }
+      slice.candidate_ids.size() == slice.new_candidates.size(),
+      "candidate_ids must be parallel to new_candidates");
+  size_t next_global_id = next_global_id_;
+  for (size_t id : slice.candidate_ids) {
+    ACTIVEITER_CHECK_MSG(id >= next_global_id,
+                         "global link ids must be strictly increasing");
+    next_global_id = id + 1;
   }
 
   // Withdrawn candidates leave FIRST, so the replace/append passes below
@@ -276,25 +243,9 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
   size_t removed_count = 0;
   if (!slice.removed_candidates.empty()) {
     TraceSpan span(options_.obs.tracer, "ingest.remove_coalesce");
-    std::vector<size_t> ids;
-    ids.reserve(slice.removed_candidates.size());
-    for (const auto& [u1, u2] : slice.removed_candidates) {
-      size_t found = CandidateLinkSet::kRemovedId;
-      if (u1 < index_->users_first()) {
-        for (size_t id : index_->LinksOfFirst(u1)) {
-          if (candidates_.link(id).second == u2) {
-            found = id;
-            break;
-          }
-        }
-      }
-      if (found == CandidateLinkSet::kRemovedId) {
-        return Status::NotFound(
-            "removal names a candidate pair this shard does not serve");
-      }
-      ids.push_back(found);
-    }
-    std::sort(ids.begin(), ids.end());
+    auto resolved = ResolveRemovals(slice.removed_candidates);
+    if (!resolved.ok()) return resolved.status();
+    const std::vector<size_t>& ids = resolved.value();
     // Validates range/duplicates and prunes the per-user lists eagerly.
     ACTIVEITER_RETURN_IF_ERROR(index_->RemoveCandidates(ids));
     ACTIVEITER_RETURN_IF_ERROR(session_->AbsorbRemovedRows(ids));
@@ -304,18 +255,16 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     }
     index_->CompactWith(candidates_.Compact());
     x_.RemoveRows(ids);
-    if (!global_ids_.empty()) {
-      size_t next_removed = 0;
-      size_t write = 0;
-      for (size_t i = 0; i < global_ids_.size(); ++i) {
-        if (next_removed < ids.size() && ids[next_removed] == i) {
-          ++next_removed;
-          continue;
-        }
-        global_ids_[write++] = global_ids_[i];
+    size_t next_removed = 0;
+    size_t write = 0;
+    for (size_t i = 0; i < global_ids_.size(); ++i) {
+      if (next_removed < ids.size() && ids[next_removed] == i) {
+        ++next_removed;
+        continue;
       }
-      global_ids_.resize(write);
+      global_ids_[write++] = global_ids_[i];
     }
+    global_ids_.resize(write);
     removed_count = ids.size();
     RowsRemovedCounter().Add(removed_count);
   }
@@ -356,16 +305,11 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     for (size_t r = 0; r < slice.new_candidates.size(); ++r) {
       const auto& [u1, u2] = slice.new_candidates[r];
       candidates_.Add(u1, u2);
-      const size_t global_id = slice.candidate_ids.empty()
-                                   ? next_global_id_
-                                   : slice.candidate_ids[r];
-      if (!global_ids_.empty() || !slice.candidate_ids.empty()) {
-        global_ids_.push_back(global_id);
-      }
-      next_global_id_ = global_id + 1;
+      global_ids_.push_back(slice.candidate_ids[r]);
       Vector row = plane.RowFor(u1, u2);
       for (size_t j = 0; j < row.size(); ++j) new_rows(r, j) = row(j);
     }
+    next_global_id_ = next_global_id;
     index_->SyncWithCandidates(plane.pair());
     x_.AppendRows(new_rows);
     ACTIVEITER_RETURN_IF_ERROR(session_->AbsorbAppendedRows(old_count));
@@ -405,155 +349,37 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
   return Status::OK();
 }
 
+Result<std::vector<size_t>> ModelShard::ResolveRemovals(
+    const std::vector<std::pair<NodeId, NodeId>>& removed) const {
+  if (!started_) return Status::FailedPrecondition("Start() first");
+  std::vector<size_t> ids;
+  ids.reserve(removed.size());
+  for (const auto& [u1, u2] : removed) {
+    size_t found = CandidateLinkSet::kRemovedId;
+    if (u1 < index_->users_first()) {
+      for (size_t id : index_->LinksOfFirst(u1)) {
+        if (candidates_.link(id).second == u2) {
+          found = id;
+          break;
+        }
+      }
+    }
+    if (found == CandidateLinkSet::kRemovedId) {
+      return Status::NotFound(
+          "removal names a candidate pair this shard does not serve");
+    }
+    ids.push_back(found);
+  }
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return Status::NotFound("removal names one candidate pair twice");
+  }
+  return ids;
+}
+
 IngestStats ModelShard::stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return stats_;
-}
-
-DeltaIngestor::DeltaIngestor(AlignedPair pair,
-                             std::vector<AnchorLink> train_anchors,
-                             CandidateLinkSet candidates,
-                             AlignmentService* service,
-                             IngestorOptions options,
-                             std::vector<size_t> global_ids)
-    : options_(std::move(options)),
-      plane_(std::move(pair), std::move(train_anchors),
-             options_.serve.features),
-      shard_(std::move(candidates), std::move(global_ids), service,
-             options_) {
-  plane_.set_obs(options_.obs);
-  if (options_.obs.metrics != nullptr) {
-    epoch_lag_ = options_.obs.metrics->GetGauge("serve.ingest.epoch_lag");
-    service->set_metrics(options_.obs.metrics);
-  }
-}
-
-// The deprecated signature keeps old call sites compiling with the exact
-// legacy semantics: one epoch per submitted batch.
-DeltaIngestor::DeltaIngestor(AlignedPair pair,
-                             std::vector<AnchorLink> train_anchors,
-                             CandidateLinkSet candidates,
-                             AlignmentService* service, ServeOptions options)
-    : DeltaIngestor(std::move(pair), std::move(train_anchors),
-                    std::move(candidates), service,
-                    [&options] {
-                      IngestorOptions forwarded;
-                      forwarded.serve = options;
-                      forwarded.drain = DrainPolicy::kPerDelta;
-                      return forwarded;
-                    }()) {}
-
-DeltaIngestor::~DeltaIngestor() { Stop(); }
-
-Status DeltaIngestor::Start() { return shard_.Start(plane_); }
-
-Status DeltaIngestor::ApplyLocked(const ServeDelta& delta,
-                                  size_t submitted_batches) {
-  if (!shard_.started()) return Status::FailedPrecondition("Start() first");
-  ACTIVEITER_RETURN_IF_ERROR(ValidateCandidateEndpoints(plane_.pair(), delta));
-  ACTIVEITER_RETURN_IF_ERROR(plane_.Apply(delta.graph));
-  const std::vector<size_t> dirty_columns = plane_.Refresh();
-  return shard_.ApplySlice(plane_, dirty_columns, delta, submitted_batches);
-}
-
-Status DeltaIngestor::ApplyOnce(const ServeDelta& delta) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ACTIVEITER_CHECK_MSG(!thread_running_,
-                         "ApplyOnce may not race the background thread");
-  }
-  return ApplyLocked(delta, /*submitted_batches=*/1);
-}
-
-void DeltaIngestor::StartBackground() {
-  ACTIVEITER_CHECK_MSG(shard_.started(), "Start() before StartBackground()");
-  std::lock_guard<std::mutex> lock(mu_);
-  if (thread_running_) return;
-  stopping_ = false;
-  thread_running_ = true;
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-void DeltaIngestor::Submit(ServeDelta delta) {
-  TraceSpan span(options_.obs.tracer, "ingest.submit");
-  if (epoch_lag_ != nullptr) epoch_lag_->Add(1);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(delta));
-  }
-  cv_.notify_one();
-}
-
-void DeltaIngestor::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    return (queue_.empty() && in_flight_ == 0) || !thread_running_;
-  });
-}
-
-void DeltaIngestor::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!thread_running_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  worker_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  thread_running_ = false;
-  idle_cv_.notify_all();
-}
-
-Status DeltaIngestor::background_status() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return background_status_;
-}
-
-void DeltaIngestor::WorkerLoop() {
-  for (;;) {
-    std::vector<ServeDelta> drained;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping with a drained queue
-      // kCoalesce takes the whole backlog in one bite; kPerDelta keeps the
-      // legacy one-epoch-per-submit cadence.
-      const size_t take = options_.drain == DrainPolicy::kCoalesce
-                              ? queue_.size()
-                              : size_t{1};
-      drained.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        drained.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      in_flight_ += drained.size();
-      if (!background_status_.ok()) {
-        // Sticky error: discard the batch, keep draining the queue.
-        in_flight_ -= drained.size();
-        if (epoch_lag_ != nullptr) epoch_lag_->Sub(drained.size());
-        if (queue_.empty()) idle_cv_.notify_all();
-        continue;
-      }
-    }
-    const size_t count = drained.size();
-    ServeDelta merged = [&] {
-      TraceSpan span(options_.obs.tracer, "ingest.drain_coalesce");
-      return count == 1 ? std::move(drained.front())
-                        : MergeServeDeltas(std::move(drained));
-    }();
-    Status applied = ApplyLocked(merged, count);
-    // Applied (or rejected with a sticky error) — either way these batches
-    // no longer lag behind the published epoch.
-    if (epoch_lag_ != nullptr) epoch_lag_->Sub(count);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!applied.ok() && background_status_.ok()) {
-        background_status_ = applied;
-      }
-      in_flight_ -= count;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-    }
-  }
 }
 
 }  // namespace activeiter

@@ -2,17 +2,16 @@
 //
 // The write side is split along the axis that matters for sharding:
 //
-//   FeaturePlane  (feature_plane.h)  — whole-graph state: aligned pair +
-//                                      delta feature engine. Cost scales
-//                                      with the GRAPH, not the candidates.
-//   ModelShard    (here)             — per-slice state: candidates,
-//                                      incidence, design matrix X,
-//                                      AlignmentSession, PU alternation,
-//                                      snapshot chain. Cost scales with
-//                                      the SLICE.
-//   DeltaIngestor (here)             — one plane + one shard + a queue:
-//                                      the standalone single-writer
-//                                      pipeline.
+//   FeaturePlane    (feature_plane.h) — whole-graph state: aligned pair +
+//                                       delta feature engine. Cost scales
+//                                       with the GRAPH, not the candidates.
+//   ModelShard      (here)            — per-slice state: candidates,
+//                                       incidence, design matrix X,
+//                                       AlignmentSession, PU alternation,
+//                                       snapshot chain. Cost scales with
+//                                       the SLICE.
+//   ShardedIngestor (shard.h)         — the coordinator: a plane ring, N
+//                                       shards and the background queue.
 //
 // A ServeDelta batch advances a (plane, shard) pair in seven steps:
 //
@@ -38,27 +37,25 @@
 //   7. BuildSnapshot + Publish  (atomic epoch swap in the service)
 //
 // Steps 1–2 are plane work (once per drain, however many shards); steps
-// 3–7 are shard work (per slice, shard-parallel under ShardedIngestor —
-// see shard.h). After Start()'s single Prepare no full factorisation ever
-// runs again — stats().full_factorisations stays 1 per shard, proven in
-// the integration tests via CholeskyFactor::TotalFactorCount.
+// 3–7 are shard work (per slice, shard-parallel — see shard.h). After
+// Start()'s single Prepare no full factorisation ever runs again —
+// stats().full_factorisations stays 1 per shard, proven in the
+// integration tests via CholeskyFactor::TotalFactorCount.
 //
-// Deltas are applied either synchronously (ApplyOnce — deterministic, used
-// by tests and epoch-by-epoch comparisons) or by the background thread
-// (StartBackground + Submit + Flush). The two modes must not be mixed
-// while the thread runs. Under DrainPolicy::kCoalesce (the default) the
-// background thread merges everything queued at wake-up into ONE batch, so
-// a burst of B submits costs one realign + one published epoch instead of
-// B — IngestStats::coalesced_batches counts the submits absorbed this way.
+// The coordinator applies deltas either synchronously (ApplyOnce —
+// deterministic, used by tests and epoch-by-epoch comparisons) or on its
+// background thread (StartBackground + Submit + Flush). The two modes
+// must not be mixed while the thread runs. Under DrainPolicy::kCoalesce
+// (the default) the background thread merges everything queued at
+// wake-up into ONE batch, so a burst of B submits costs one realign + one
+// published epoch instead of B — IngestStats::coalesced_batches counts
+// the submits absorbed this way.
 
 #ifndef ACTIVEITER_SERVE_INGESTOR_H_
 #define ACTIVEITER_SERVE_INGESTOR_H_
 
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -77,12 +74,11 @@ namespace activeiter {
 
 /// One ingest batch: graph growth plus the candidate pairs that start
 /// being served with it. Candidate endpoints may reference nodes added by
-/// the same batch. `candidate_ids`, when non-empty, carries the global
-/// link id of each new candidate (parallel to `new_candidates`, strictly
-/// increasing) — the sharded ingest path assigns ids at routing time so a
-/// candidate keeps one id no matter which shard serves it. When empty the
-/// ingestor numbers new candidates sequentially (the unsharded identity
-/// mapping).
+/// the same batch. `candidate_ids` carries the global link id of each new
+/// candidate (parallel to `new_candidates`, strictly increasing). Only
+/// routed batches carry it: RouteServeDelta stamps the ids, so a
+/// candidate keeps one id no matter which shard serves it, and batches
+/// submitted to the coordinator leave it empty.
 struct ServeDelta {
   PairDelta graph;
   std::vector<std::pair<NodeId, NodeId>> new_candidates;
@@ -101,8 +97,8 @@ struct ServeDelta {
 /// Concatenates a burst of batches into one equivalent batch: node growth,
 /// edges, anchors and candidates in submission order. Applying the merged
 /// batch yields the same graph, candidate set and design matrix as
-/// applying the parts one by one — in one epoch instead of many. Either
-/// every input carries candidate_ids or none does (checked).
+/// applying the parts one by one — in one epoch instead of many. Merging
+/// happens before routing, so no input may carry candidate_ids (checked).
 ///
 /// Opposing operations on the same key COLLAPSE during the merge: an edge
 /// removal cancels a pending same-key addition (and vice versa), an anchor
@@ -131,16 +127,14 @@ enum class DrainPolicy {
   kPerDelta,
 };
 
-/// Construction-time options of the ingest layer (single ingestor and
-/// sharded). Replaces the old long positional argument list.
+/// Construction-time options of the ingest layer.
 struct IngestorOptions {
   /// Model knobs, forwarded to the alternation and feature engine.
   ServeOptions serve;
   /// Background-queue drain policy.
   DrainPolicy drain = DrainPolicy::kCoalesce;
-  /// Shard layout. A plain DeltaIngestor ignores it (it serves whatever
-  /// slice it was handed); ShardedIngestor fans out over
-  /// partition.num_shards slices.
+  /// Shard layout: ShardedIngestor fans out over partition.num_shards
+  /// slices.
   ShardPartition partition;
   /// Default k for query front ends when the caller does not say (e.g.
   /// serve_cli --topk 0).
@@ -151,14 +145,12 @@ struct IngestorOptions {
   /// the shards absorb drain N. 0 restores the strictly serial
   /// coordinator (one buffer; prepare waits for every shard). Published
   /// epochs are bitwise-identical at every depth — only the overlap
-  /// changes. A plain DeltaIngestor is single-threaded past its queue and
-  /// ignores this knob (its stats report max_inflight_planes = 1).
+  /// changes.
   size_t pipeline_depth = 1;
   /// When non-zero, ShardedIngestor::Submit blocks while the background
   /// queue holds this many undrained batches — backpressure so a fast
   /// producer cannot outrun the shards unboundedly. Each blocked Submit
-  /// counts one pipeline stall. 0 (default) means unbounded; a plain
-  /// DeltaIngestor ignores it (kCoalesce already collapses its backlog).
+  /// counts one pipeline stall. 0 (default) means unbounded.
   size_t submit_queue_limit = 0;
   /// Observability sinks. Detached (null) by default: every instrument
   /// site in the ingest/query pipeline reduces to one branch. When
@@ -199,9 +191,9 @@ struct IngestStats {
 /// is refreshed.
 class ModelShard {
  public:
-  /// `service` must outlive the shard. `global_ids`, when non-empty, maps
-  /// each initial candidate to its global link id (the sharded path;
-  /// empty means identity).
+  /// `service` must outlive the shard. `global_ids` maps each initial
+  /// candidate to its global link id, strictly increasing (what
+  /// PartitionCandidates produces).
   ModelShard(CandidateLinkSet candidates, std::vector<size_t> global_ids,
              AlignmentService* service, IngestorOptions options);
 
@@ -217,18 +209,27 @@ class ModelShard {
   /// Applies this shard's slice of a batch against an already-refreshed
   /// plane: removed rows downdated out for the slice's withdrawn
   /// candidates, replaced rows for `dirty_columns`, appended rows for the
-  /// slice's new candidates, realign, publish. `submitted_batches` is the
-  /// number of Submit() calls the slice coalesces (1 for ApplyOnce).
+  /// slice's new candidates, realign, publish. The slice carries the
+  /// global id of every new candidate (what RouteServeDelta stamps).
+  /// `submitted_batches` is the number of Submit() calls the slice
+  /// coalesces (1 for ApplyOnce).
   Status ApplySlice(const FeaturePlane& plane,
                     const std::vector<size_t>& dirty_columns,
                     const ServeDelta& slice, size_t submitted_batches);
+
+  /// Local ids of the served candidate pairs `removed`, ascending.
+  /// NotFound when this shard does not serve a pair or a pair is named
+  /// twice. Pure: the coordinator resolves every shard's removals before
+  /// the plane applies a batch, and ApplySlice resolves through it too.
+  Result<std::vector<size_t>> ResolveRemovals(
+      const std::vector<std::pair<NodeId, NodeId>>& removed) const;
 
   IngestStats stats() const;
 
   bool started() const { return started_; }
   const CandidateLinkSet& candidates() const { return candidates_; }
   const Matrix& design() const { return x_; }
-  /// Local candidate id → global link id (empty = identity).
+  /// Local candidate id → global link id.
   const std::vector<size_t>& global_ids() const { return global_ids_; }
   uint64_t epoch() const { return epoch_; }
 
@@ -244,7 +245,7 @@ class ModelShard {
   std::unique_ptr<AlignmentSession> session_;
   IterAligner aligner_;
   std::vector<size_t> global_ids_;
-  size_t next_global_id_ = 0;  // auto-numbering when deltas carry no ids
+  size_t next_global_id_ = 0;  // one past the highest global id held
   uint64_t epoch_ = 0;
   bool started_ = false;
 
@@ -252,110 +253,9 @@ class ModelShard {
   mutable std::mutex stats_mu_;
 };
 
-/// The standalone single-writer ingestor: one FeaturePlane, one
-/// ModelShard, one background queue. Owns the live model and feeds an
-/// AlignmentService with epochs.
-class DeltaIngestor {
- public:
-  /// Takes ownership of the initial serving state. `train_anchors` is the
-  /// fixed labeled bridge L+; candidates equal to a train anchor are
-  /// pinned positive, everything else stays unlabeled (the PU setting).
-  /// `service` must outlive the ingestor. `global_ids`, when non-empty,
-  /// maps each initial candidate to its global link id (the sharded path;
-  /// empty means identity).
-  DeltaIngestor(AlignedPair pair, std::vector<AnchorLink> train_anchors,
-                CandidateLinkSet candidates, AlignmentService* service,
-                IngestorOptions options = {},
-                std::vector<size_t> global_ids = {});
-
-  /// Deprecated forwarding constructor (pre-IngestorOptions signature).
-  /// Maps to DrainPolicy::kPerDelta — the exact legacy behaviour — and
-  /// will be removed one release after the IngestorOptions constructor.
-  [[deprecated("pass IngestorOptions instead of ServeOptions")]]
-  DeltaIngestor(AlignedPair pair, std::vector<AnchorLink> train_anchors,
-                CandidateLinkSet candidates, AlignmentService* service,
-                ServeOptions options);
-
-  ~DeltaIngestor();
-
-  DeltaIngestor(const DeltaIngestor&) = delete;
-  DeltaIngestor& operator=(const DeltaIngestor&) = delete;
-
-  /// Builds and publishes epoch 0 — the only full feature extraction,
-  /// Gram product and Cholesky factorisation of the ingestor's lifetime.
-  Status Start();
-
-  /// Applies one batch synchronously and publishes the next epoch.
-  Status ApplyOnce(const ServeDelta& delta);
-
-  /// Starts the background ingest thread (after Start()).
-  void StartBackground();
-
-  /// Enqueues a batch for the background thread.
-  void Submit(ServeDelta delta);
-
-  /// Blocks until every submitted batch has been applied and published.
-  void Flush();
-
-  /// Drains the queue and joins the background thread (idempotent).
-  void Stop();
-
-  /// First error hit by the background thread, if any (sticky; batches
-  /// submitted after an error are discarded).
-  Status background_status() const;
-
-  IngestStats stats() const {
-    IngestStats s = shard_.stats();
-    // The single-writer pipeline is strictly serial by design: one plane,
-    // no backpressure, never more than one drain in flight.
-    s.pipeline_stalls = 0;
-    s.max_inflight_planes = 1;
-    return s;
-  }
-
-  const IngestorOptions& options() const { return options_; }
-
-  // Read-only views of the live (ingest-side) state — for tests, shard
-  // plumbing and batch-rebuild comparisons. NOT safe to call while the
-  // background thread is running; query through the QueryBackend surface
-  // instead.
-  const AlignedPair& pair() const { return plane_.pair(); }
-  const CandidateLinkSet& candidates() const { return shard_.candidates(); }
-  const std::vector<AnchorLink>& train_anchors() const {
-    return plane_.train_anchors();
-  }
-  const Matrix& design() const { return shard_.design(); }
-  /// Local candidate id → global link id.
-  const std::vector<size_t>& global_ids() const {
-    return shard_.global_ids();
-  }
-  uint64_t epoch() const { return shard_.epoch(); }
-
- private:
-  void WorkerLoop();
-  Status ApplyLocked(const ServeDelta& delta, size_t submitted_batches);
-
-  IngestorOptions options_;
-  FeaturePlane plane_;
-  ModelShard shard_;
-  // Submitted-but-unpublished batches; null when metrics are detached.
-  Gauge* epoch_lag_ = nullptr;
-
-  // Background queue.
-  std::thread worker_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;        // queue not empty / stopping
-  std::condition_variable idle_cv_;   // queue drained
-  std::deque<ServeDelta> queue_;
-  size_t in_flight_ = 0;
-  bool stopping_ = false;
-  bool thread_running_ = false;
-  Status background_status_ = Status::OK();
-};
-
 /// Validates that every candidate endpoint of `delta` falls inside the
-/// user universes AFTER the batch's own node growth — the shared
-/// validate-before-mutate step of DeltaIngestor and ShardedIngestor.
+/// user universes AFTER the batch's own node growth — the coordinator's
+/// first validate-before-mutate step.
 Status ValidateCandidateEndpoints(const AlignedPair& pair,
                                   const ServeDelta& delta);
 

@@ -188,9 +188,18 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
   for (size_t b = 0; b < ring_.size(); ++b) CatchUpBuffer(b);
   graph_history_.clear();
   // Validate-before-mutate: a rejected batch leaves the plane AND every
-  // shard untouched, so the write side stays consistent.
+  // shard untouched, so the write side stays consistent. Routing is pure,
+  // so every owning shard resolves its removals before the plane moves.
   ACTIVEITER_RETURN_IF_ERROR(
       ValidateCandidateEndpoints(plane_.pair(), merged));
+  std::vector<ServeDelta> routed = [&] {
+    TraceSpan span(options_.obs.tracer, "ingest.route");
+    return RouteServeDelta(merged, options_.partition, next_global_id_);
+  }();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    ACTIVEITER_RETURN_IF_ERROR(
+        shards_[s]->ResolveRemovals(routed[s].removed_candidates).status());
+  }
   ACTIVEITER_RETURN_IF_ERROR(plane_.Apply(merged.graph));
   for (size_t b = 1; b < ring_.size(); ++b) {
     ACTIVEITER_CHECK_MSG(ring_[b]->Apply(merged.graph).ok(),
@@ -199,10 +208,6 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
   ++drain_seq_;
   for (uint64_t& applied : ring_applied_) applied = drain_seq_;
   const std::vector<size_t> dirty_columns = plane_.Refresh();
-  std::vector<ServeDelta> routed = [&] {
-    TraceSpan span(options_.obs.tracer, "ingest.route");
-    return RouteServeDelta(merged, options_.partition, next_global_id_);
-  }();
   for (size_t s = 0; s < shards_.size(); ++s) {
     ACTIVEITER_RETURN_IF_ERROR(shards_[s]->ApplySlice(
         plane_, dirty_columns, routed[s], submitted_batches));

@@ -37,25 +37,33 @@
 // value-compares each row against the design matrix before absorbing.)
 //
 // Model semantics: each shard trains the PU alternation on its own slice.
-// With one shard this is bit-for-bit the unsharded DeltaIngestor (same
-// plane + shard composition; proven by the N=1 equivalence test); with N
-// shards each slice's model equals an independent single ingestor run
-// over that slice (the plane's feature state depends only on the graph,
-// never on the candidate set; proven by the N∈{2,4} equivalence test),
-// trading cross-shard one-to-one coupling on second-network users for
-// shard-parallel ingest.
+// Every shard's model equals an independent plane + ModelShard pipeline
+// run over that slice alone — the plane's feature state depends only on
+// the graph, never on the candidate set (proven epoch by epoch at
+// N ∈ {1, 2, 4}, on grow-only and churned streams, by the equivalence
+// suite). With one shard the slice is the whole candidate set; with N
+// shards sharding trades cross-shard one-to-one coupling on
+// second-network users for shard-parallel ingest.
 //
 // Global link ids are assigned at drain time, in submission order across
 // all shards, so ids are stable across shard counts and the router's
 // merged answers are comparable run-to-run.
 //
 // Failure model: a batch that fails validation (bad graph delta, bad
-// candidate endpoint) is rejected before anything mutates. A model-side
-// failure inside a shard makes the background status sticky — up to
-// pipeline_depth later drains may already sit in executor mailboxes when
-// it surfaces; their absorbs are skipped (the read side keeps serving
-// every shard's last published epoch) and everything submitted after is
-// discarded at drain time.
+// candidate endpoint) is rejected before anything mutates. ApplyOnce also
+// rejects a bad removal up front — a pair its owning shard does not
+// serve, or one pair named twice — because every shard resolves its
+// routed removals (ModelShard::ResolveRemovals) before the plane applies
+// the batch. Background drains still catch a bad removal only at absorb
+// time, on the shard's executor. That surfaces as a sticky error, not an
+// abort: PrepareDrain advances the global id counter before dispatch, so
+// no later batch reuses the ids the failed drain had stamped. Recovering
+// from it stays with the ROADMAP item on recoverable failures. A
+// model-side failure inside a shard makes the background status sticky
+// the same way — up to pipeline_depth later drains may already sit in
+// executor mailboxes when it surfaces; their absorbs are skipped (the
+// read side keeps serving every shard's last published epoch) and
+// everything submitted after is discarded at drain time.
 
 #ifndef ACTIVEITER_SERVE_SHARD_H_
 #define ACTIVEITER_SERVE_SHARD_H_
@@ -87,9 +95,8 @@ std::vector<ServeDelta> RouteServeDelta(const ServeDelta& delta,
                                         size_t first_global_id);
 
 /// A plane ring + N ModelShards over disjoint candidate slices plus the
-/// ShardRouter serving them. Mirrors the DeltaIngestor lifecycle
-/// (Start → ApplyOnce | StartBackground/Submit/Flush/Stop); queries go
-/// through backend().
+/// ShardRouter serving them. Lifecycle: Start → ApplyOnce |
+/// StartBackground/Submit/Flush/Stop; queries go through backend().
 class ShardedIngestor {
  public:
   /// Takes ownership of the initial state and splits it across
@@ -111,7 +118,8 @@ class ShardedIngestor {
 
   /// Routes one batch and applies it synchronously, shard after shard.
   /// Deterministic; shard epochs stay in lock-step and every plane buffer
-  /// advances together.
+  /// advances together. A batch rejected by validation or by a shard's
+  /// removal lookup leaves the plane and every shard untouched.
   Status ApplyOnce(const ServeDelta& delta);
 
   /// Background ingest: one coordinator thread that drains the queue
@@ -185,8 +193,9 @@ class ShardedIngestor {
   };
 
   void WorkerLoop();
-  /// Deterministic path: validate → advance EVERY plane buffer → refresh
-  /// the primary → route → shard applies, sequential on this thread.
+  /// Deterministic path: validate → route → resolve removals → advance
+  /// EVERY plane buffer → refresh the primary → shard applies, sequential
+  /// on this thread.
   Status ApplyMerged(const ServeDelta& merged, size_t submitted_batches);
   /// Pipelined path: acquire the drain's ring buffer (blocking while it
   /// is still being absorbed), replay missed drains onto it, prepare the
@@ -227,7 +236,7 @@ class ShardedIngestor {
   std::vector<std::unique_ptr<ShardExecutor>> executors_;
   std::deque<DrainTicket> tickets_;      // guarded by mu_
 
-  // Coordinator queue (same discipline as DeltaIngestor's).
+  // Coordinator queue.
   std::thread worker_;
   mutable std::mutex mu_;
   std::condition_variable cv_;           // queue not empty / stopping

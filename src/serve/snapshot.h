@@ -28,15 +28,16 @@ namespace activeiter {
 /// One published model epoch. Immutable after construction; fully owns its
 /// data. All vectors are indexed by LOCAL link id (position in the owning
 /// slice's candidate set); `global_ids` maps local → global for the query
-/// surface. In the unsharded deployment local and global ids coincide and
-/// `global_ids` stays empty.
+/// surface. A snapshot built without ids (a whole candidate set, outside
+/// the shard layer) keeps `global_ids` empty: local and global ids
+/// coincide.
 struct ModelSnapshot {
   uint64_t epoch = 0;
   std::vector<std::pair<NodeId, NodeId>> links;  // candidate pairs by id
   Vector scores;                                 // ŷ = Xw over links
   Vector y;                                      // inferred {0,1} labels
   Vector w;                                      // model weights
-  // Local id → global link id; empty means identity (unsharded).
+  // Local id → global link id; empty means identity.
   std::vector<size_t> global_ids;
   // Per-user candidate link ids. `links_of_first` is pre-ranked in
   // serving order — (score desc, link id asc) — at build time, so TopK
@@ -62,7 +63,7 @@ struct ModelSnapshot {
 /// Deep-copies the queryable state of one alignment solution into a
 /// snapshot. `scores`/`y` are indexed by the candidate ids of `index`;
 /// `global_ids` maps those local ids to global link ids (pass {} for the
-/// identity mapping of an unsharded deployment).
+/// identity mapping over a whole candidate set).
 ModelSnapshot BuildSnapshot(uint64_t epoch, const IncidenceIndex& index,
                             Vector scores, Vector y, Vector w,
                             std::vector<size_t> global_ids = {});

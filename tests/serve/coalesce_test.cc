@@ -30,58 +30,18 @@ DeltaStream CarvedStream(uint64_t seed) {
   return std::move(stream).ValueOrDie();
 }
 
-TEST(CoalesceTest, BacklogDrainsAsOneEpochBitwiseEqualToMergedApply) {
+class CoalesceBacklogTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CoalesceBacklogTest, BacklogDrainsAsOneEpochBitwiseEqualToMergedApply) {
+  const size_t n = GetParam();
   DeltaStream s = CarvedStream(61);
   DeltaStream s_copy = CarvedStream(61);
   const size_t batches = s.batches.size();
 
-  // Coalescing ingestor: enqueue the whole backlog BEFORE the worker
-  // starts, so the first wake-up deterministically sees all of it.
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
-  ASSERT_TRUE(ingestor.Start().ok());
-  for (ServeDelta& batch : s.batches) ingestor.Submit(std::move(batch));
-  ingestor.StartBackground();
-  ingestor.Flush();
-  ingestor.Stop();
-  ASSERT_TRUE(ingestor.background_status().ok());
-
-  const IngestStats stats = ingestor.stats();
-  EXPECT_EQ(stats.deltas_applied, batches);
-  EXPECT_EQ(stats.coalesced_batches, batches - 1);
-  EXPECT_EQ(stats.epochs_published, 2u);  // epoch 0 + the single drain
-  EXPECT_EQ(service.epoch(), 1u);
-  EXPECT_EQ(stats.full_factorisations, 1u);
-
-  // Twin: the merged backlog applied synchronously — bit-for-bit the
-  // same graph, design matrix and published model.
-  AlignmentService twin_service;
-  DeltaIngestor twin(std::move(s_copy.initial), s_copy.train_anchors,
-                     std::move(s_copy.initial_candidates), &twin_service);
-  ASSERT_TRUE(twin.Start().ok());
-  ASSERT_TRUE(
-      twin.ApplyOnce(MergeServeDeltas(std::move(s_copy.batches))).ok());
-
-  ASSERT_EQ(twin.candidates().size(), ingestor.candidates().size());
-  EXPECT_EQ(Matrix::MaxAbsDiff(twin.design(), ingestor.design()), 0.0);
-  auto snap = service.snapshot();
-  auto twin_snap = twin_service.snapshot();
-  ASSERT_EQ(snap->size(), twin_snap->size());
-  for (size_t i = 0; i < snap->size(); ++i) {
-    EXPECT_EQ(snap->scores(i), twin_snap->scores(i));
-    EXPECT_EQ(snap->y(i), twin_snap->y(i));
-    EXPECT_EQ(snap->links[i], twin_snap->links[i]);
-  }
-}
-
-TEST(CoalesceTest, ShardedBacklogCoalescesOnceAcrossAllShards) {
-  DeltaStream s = CarvedStream(67);
-  DeltaStream s_copy = CarvedStream(67);
-  const size_t batches = s.batches.size();
-
+  // Enqueue the whole backlog BEFORE the coordinator starts, so its first
+  // wake-up deterministically sees all of it.
   IngestorOptions options;
-  options.partition.num_shards = 2;
+  options.partition.num_shards = n;
   ShardedIngestor sharded(std::move(s.initial), s.train_anchors,
                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(sharded.Start().ok());
@@ -91,20 +51,25 @@ TEST(CoalesceTest, ShardedBacklogCoalescesOnceAcrossAllShards) {
   sharded.Stop();
   ASSERT_TRUE(sharded.background_status().ok());
 
+  // One drain across all shards: the drain-level counters are reported
+  // once, the factorisations summed.
   const IngestStats stats = sharded.stats();
   EXPECT_EQ(stats.deltas_applied, batches);
   EXPECT_EQ(stats.coalesced_batches, batches - 1);
-  EXPECT_EQ(stats.epochs_published, 2u);
+  EXPECT_EQ(stats.epochs_published, 2u);  // epoch 0 + the single drain
   EXPECT_EQ(sharded.backend().epoch(), 1u);
-  EXPECT_EQ(stats.full_factorisations, 2u);
+  EXPECT_EQ(stats.full_factorisations, n);
 
-  // Twin: the same merged backlog through the deterministic path.
+  // Twin: the merged backlog through the deterministic path — bit-for-bit
+  // the same design matrix and published model on every shard.
   ShardedIngestor twin(std::move(s_copy.initial), s_copy.train_anchors,
                        std::move(s_copy.initial_candidates), options);
   ASSERT_TRUE(twin.Start().ok());
   ASSERT_TRUE(
       twin.ApplyOnce(MergeServeDeltas(std::move(s_copy.batches))).ok());
-  for (size_t i = 0; i < 2; ++i) {
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(twin.shard(i).candidates().size(),
+              sharded.shard(i).candidates().size());
     EXPECT_EQ(Matrix::MaxAbsDiff(twin.shard(i).design(),
                                  sharded.shard(i).design()),
               0.0);
@@ -114,19 +79,22 @@ TEST(CoalesceTest, ShardedBacklogCoalescesOnceAcrossAllShards) {
     for (size_t j = 0; j < snap->size(); ++j) {
       EXPECT_EQ(snap->scores(j), twin_snap->scores(j));
       EXPECT_EQ(snap->y(j), twin_snap->y(j));
+      EXPECT_EQ(snap->links[j], twin_snap->links[j]);
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, CoalesceBacklogTest,
+                         ::testing::Values(size_t{1}, size_t{2}));
 
 TEST(CoalesceTest, PerDeltaPolicyKeepsOneEpochPerSubmit) {
   DeltaStream s = CarvedStream(71);
   const size_t batches = s.batches.size();
 
-  AlignmentService service;
   IngestorOptions options;
   options.drain = DrainPolicy::kPerDelta;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(ingestor.Start().ok());
   EXPECT_EQ(ingestor.options().drain, DrainPolicy::kPerDelta);
   for (ServeDelta& batch : s.batches) ingestor.Submit(std::move(batch));
@@ -139,13 +107,13 @@ TEST(CoalesceTest, PerDeltaPolicyKeepsOneEpochPerSubmit) {
   EXPECT_EQ(stats.deltas_applied, batches);
   EXPECT_EQ(stats.coalesced_batches, 0u);
   EXPECT_EQ(stats.epochs_published, batches + 1);
-  EXPECT_EQ(service.epoch(), batches);
+  EXPECT_EQ(ingestor.backend().epoch(), batches);
 }
 
 TEST(CoalesceTest, MergePreservesSubmissionOrder) {
   ServeDelta a;
   a.new_candidates.emplace_back(1, 2);
-  ServeDelta graph_only;  // id-mode neutral
+  ServeDelta graph_only;
   ServeDelta b;
   b.new_candidates.emplace_back(3, 4);
   b.new_candidates.emplace_back(5, 6);
@@ -216,19 +184,12 @@ TEST(CoalesceTest, MergeCollapsesCandidateChurn) {
   EXPECT_TRUE(merged.candidate_ids.empty());
 }
 
-TEST(CoalesceTest, MergeCollapseDropsCancelledExplicitIds) {
-  // Sharded routing mode: candidates carry explicit global ids; a
-  // cancelled addition must drop its id too, keeping the arrays parallel.
-  ServeDelta grow;
-  grow.new_candidates.emplace_back(1, 2);
-  grow.new_candidates.emplace_back(3, 4);
-  grow.candidate_ids = {10, 11};
-  ServeDelta shrink;
-  shrink.removed_candidates.emplace_back(1, 2);
-  ServeDelta merged = MergeServeDeltas({grow, shrink});
-  ASSERT_EQ(merged.new_candidates.size(), 1u);
-  ASSERT_EQ(merged.candidate_ids.size(), 1u);
-  EXPECT_EQ(merged.candidate_ids[0], 11u);
+TEST(CoalesceTest, MergeRejectsRoutedBatches) {
+  // Merging happens before routing, which is what stamps link ids.
+  ServeDelta routed;
+  routed.new_candidates.emplace_back(1, 2);
+  routed.candidate_ids = {10};
+  EXPECT_DEATH(MergeServeDeltas({routed}), "before routing");
 }
 
 }  // namespace

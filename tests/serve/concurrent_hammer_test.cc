@@ -15,8 +15,7 @@
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
 #include "src/serve/delta_stream.h"
-#include "src/serve/ingestor.h"
-#include "src/serve/service.h"
+#include "src/serve/shard.h"
 
 namespace activeiter {
 namespace {
@@ -33,10 +32,10 @@ TEST(ConcurrentHammerTest, QueriesRaceIngestSafely) {
   ASSERT_TRUE(stream.ok());
   DeltaStream& s = stream.value();
 
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates));
   ASSERT_TRUE(ingestor.Start().ok());
+  const AlignmentService& service = ingestor.shard_service(0);
 
   constexpr size_t kReaders = 4;
   std::atomic<bool> stop{false};

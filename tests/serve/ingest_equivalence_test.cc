@@ -9,6 +9,8 @@
 //     epoch-0 Prepare), proven via CholeskyFactor::TotalFactorCount.
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,8 +20,7 @@
 #include "src/linalg/cholesky.h"
 #include "src/metadiagram/features.h"
 #include "src/serve/delta_stream.h"
-#include "src/serve/ingestor.h"
-#include "src/serve/service.h"
+#include "src/serve/shard.h"
 
 namespace activeiter {
 namespace {
@@ -30,21 +31,23 @@ AlignedPair TinyPair(uint64_t seed = 7) {
   return std::move(pair).ValueOrDie();
 }
 
-/// Batch rebuild of the full pipeline over the ingestor's current state.
+/// Batch rebuild of the full pipeline over a one-shard ingestor's state.
 struct BatchRebuild {
   Matrix x;
   AlignmentResult result;
 
-  BatchRebuild(const DeltaIngestor& ingestor, double c) {
-    FeatureExtractor extractor(ingestor.pair(), ingestor.train_anchors());
-    x = extractor.Extract(ingestor.candidates());
-    IncidenceIndex index(ingestor.pair(), ingestor.candidates());
+  BatchRebuild(const ShardedIngestor& ingestor,
+               const std::vector<AnchorLink>& train_anchors, double c) {
+    const CandidateLinkSet& candidates = ingestor.shard(0).candidates();
+    FeatureExtractor extractor(ingestor.pair(), train_anchors);
+    x = extractor.Extract(candidates);
+    IncidenceIndex index(ingestor.pair(), candidates);
     auto session = AlignmentSession::Create(x, index, c);
     EXPECT_TRUE(session.ok());
-    std::vector<Pin> pins(ingestor.candidates().size(), Pin::kFree);
-    for (const AnchorLink& a : ingestor.train_anchors()) {
-      for (size_t id = 0; id < ingestor.candidates().size(); ++id) {
-        const auto& [u1, u2] = ingestor.candidates().link(id);
+    std::vector<Pin> pins(candidates.size(), Pin::kFree);
+    for (const AnchorLink& a : train_anchors) {
+      for (size_t id = 0; id < candidates.size(); ++id) {
+        const auto& [u1, u2] = candidates.link(id);
         if (u1 == a.u1 && u2 == a.u2) pins[id] = Pin::kPositive;
       }
     }
@@ -69,10 +72,10 @@ TEST(IngestEquivalenceTest, StreamedIngestMatchesBatchRebuildEveryEpoch) {
   // The acceptance bar: a genuinely streamed workload, not a toy dribble.
   EXPECT_GE(s.StreamedCandidateCount(), 100u);
 
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates));
   ASSERT_TRUE(ingestor.Start().ok());
+  const AlignmentService& service = ingestor.shard_service(0);
   EXPECT_EQ(ingestor.stats().full_factorisations, 1u);
   EXPECT_EQ(service.epoch(), 0u);
 
@@ -85,13 +88,14 @@ TEST(IngestEquivalenceTest, StreamedIngestMatchesBatchRebuildEveryEpoch) {
     auto snap = service.snapshot();
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->epoch, b + 1);
-    ASSERT_EQ(snap->size(), ingestor.candidates().size());
+    ASSERT_EQ(snap->size(), ingestor.shard(0).candidates().size());
 
     // 1. X is bitwise identical to a from-scratch extraction.
-    BatchRebuild rebuild(ingestor, 1.0);
-    ASSERT_EQ(rebuild.x.rows(), ingestor.design().rows());
-    ASSERT_EQ(rebuild.x.cols(), ingestor.design().cols());
-    EXPECT_EQ(Matrix::MaxAbsDiff(rebuild.x, ingestor.design()), 0.0)
+    const Matrix& design = ingestor.shard(0).design();
+    BatchRebuild rebuild(ingestor, s.train_anchors, 1.0);
+    ASSERT_EQ(rebuild.x.rows(), design.rows());
+    ASSERT_EQ(rebuild.x.cols(), design.cols());
+    EXPECT_EQ(Matrix::MaxAbsDiff(rebuild.x, design), 0.0)
         << "epoch " << b + 1;
 
     // 2. Scores agree up to rank-1 rounding; the matched set is identical.
@@ -120,12 +124,11 @@ TEST(IngestEquivalenceTest, EmptyDeltaStillPublishesAnEpoch) {
   auto stream = CarveDeltaStream(full, carve);
   ASSERT_TRUE(stream.ok());
   DeltaStream& s = stream.value();
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates));
   ASSERT_TRUE(ingestor.Start().ok());
   ASSERT_TRUE(ingestor.ApplyOnce(ServeDelta{}).ok());
-  EXPECT_EQ(service.epoch(), 1u);
+  EXPECT_EQ(ingestor.backend().epoch(), 1u);
   EXPECT_EQ(ingestor.stats().rows_appended, 0u);
   EXPECT_EQ(ingestor.stats().full_factorisations, 1u);
 }
@@ -138,9 +141,8 @@ TEST(IngestEquivalenceTest, InvalidDeltaSurfacesAndKeepsServing) {
   auto stream = CarveDeltaStream(full, carve);
   ASSERT_TRUE(stream.ok());
   DeltaStream& s = stream.value();
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates));
   ASSERT_TRUE(ingestor.Start().ok());
 
   ServeDelta bad;
@@ -161,9 +163,9 @@ TEST(IngestEquivalenceTest, InvalidDeltaSurfacesAndKeepsServing) {
   EXPECT_EQ(ingestor.pair().first().NodeCount(NodeType::kUser), users_before);
   // The batches rejected atomically: serving continues at epoch 0 and a
   // valid batch still applies cleanly afterwards.
-  EXPECT_EQ(service.epoch(), 0u);
+  EXPECT_EQ(ingestor.backend().epoch(), 0u);
   ASSERT_TRUE(ingestor.ApplyOnce(s.batches[0]).ok());
-  EXPECT_EQ(service.epoch(), 1u);
+  EXPECT_EQ(ingestor.backend().epoch(), 1u);
 }
 
 }  // namespace

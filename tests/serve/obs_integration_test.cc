@@ -1,7 +1,7 @@
 // Observability through the real ingest pipeline: every stage emits its
 // span, the coordinator's epoch-lag gauge settles back to zero after
-// Flush, and the query surface populates its latency histograms — for
-// both the unsharded DeltaIngestor and the sharded coordinator.
+// Flush, and the query surface populates its latency histograms — at one
+// shard and across several.
 
 #include <map>
 #include <sstream>
@@ -38,7 +38,7 @@ void ExpectStage(const std::map<std::string, Tracer::StageTotal>& totals,
   EXPECT_EQ(totals.count(name), 1u) << "no span recorded for " << name;
 }
 
-TEST(ObsIntegrationTest, DeltaIngestorEmitsEveryStageAndSettlesLag) {
+TEST(ObsIntegrationTest, SingleShardEmitsEveryStageAndSettlesLag) {
   DeltaStream s = CarvedStream(61);
   const size_t batches = s.batches.size();
   MetricsRegistry registry;
@@ -47,10 +47,10 @@ TEST(ObsIntegrationTest, DeltaIngestorEmitsEveryStageAndSettlesLag) {
   options.obs.metrics = &registry;
   options.obs.tracer = &tracer;
 
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(ingestor.Start().ok());
+  const AlignmentService& service = ingestor.shard_service(0);
   ingestor.StartBackground();
   for (ServeDelta& batch : s.batches) ingestor.Submit(std::move(batch));
   ingestor.Flush();
@@ -198,9 +198,8 @@ TEST(ObsIntegrationTest, ChurnIngestEmitsRemovalSpanAndKernelCounters) {
   const uint64_t rows_removed_before = rows_removed->value();
   const uint64_t downdates_before = downdates->value();
 
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(ingestor.Start().ok());
   for (ServeDelta& batch : s.batches) {
     ASSERT_TRUE(ingestor.ApplyOnce(std::move(batch)).ok());
@@ -222,16 +221,15 @@ TEST(ObsIntegrationTest, ChurnIngestEmitsRemovalSpanAndKernelCounters) {
 TEST(ObsIntegrationTest, DetachedIngestRegistersNothing) {
   DeltaStream s = CarvedStream(71);
   IngestorOptions options;  // obs defaults to detached
-  AlignmentService service;
-  DeltaIngestor ingestor(std::move(s.initial), s.train_anchors,
-                         std::move(s.initial_candidates), &service, options);
+  ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
+                           std::move(s.initial_candidates), options);
   ASSERT_TRUE(ingestor.Start().ok());
   ASSERT_TRUE(
       ingestor.ApplyOnce(MergeServeDeltas(std::move(s.batches))).ok());
-  ASSERT_TRUE(service.TopKFor(0, 4).ok());
+  ASSERT_TRUE(ingestor.backend().TopKFor(0, 4).ok());
   // Nothing to assert on a registry (there is none) — the contract is
   // simply that the fully-detached pipeline runs and serves.
-  EXPECT_EQ(service.epoch(), 1u);
+  EXPECT_EQ(ingestor.backend().epoch(), 1u);
 }
 
 }  // namespace

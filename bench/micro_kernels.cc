@@ -1,13 +1,15 @@
 // Micro-benchmarks of the kernels the experiments are built from:
 // SpGEMM / Hadamard (meta-diagram counting), ridge solve (step 1-1),
-// greedy and Hungarian selection (step 1-2), and full feature extraction.
+// greedy and Hungarian selection (step 1-2), the conflict query round
+// (external step 2), and full feature extraction.
 //
 // Two modes:
 //   * default — Google Benchmark CLI (filters, repetitions, etc.);
 //   * --record=PATH — hand-timed record of the blocked-kernel speedups
 //     (rank-k absorb vs sequential rank-1s, rank-k downdate vs refactor,
 //     incremental SpGEMM vs full recompute with its measured crossover
-//     sweep, tiled dense Gram/solve)
+//     sweep, tiled dense Gram/solve) and of the selection kernels (greedy
+//     selection and the conflict query round at 20,000 links)
 //     written as compact JSON. CI re-records it as BENCH_kernels.json; the
 //     committed copy is the PR's perf baseline.
 
@@ -21,6 +23,7 @@
 
 #include "src/align/greedy_selection.h"
 #include "src/align/hungarian.h"
+#include "src/align/query_strategy.h"
 #include "src/common/rng.h"
 #include "src/common/stopwatch.h"
 #include "src/common/thread_pool.h"
@@ -435,6 +438,27 @@ void BM_GreedySelect(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySelect)->Arg(2000)->Arg(20000);
 
+/// One conflict query round (k = 5) against the greedy labels of `f`.
+std::vector<size_t> ConflictQueryRound(const SelectionFixture& f,
+                                       const Vector& y) {
+  QueryContext ctx;
+  ctx.scores = &f.scores;
+  ctx.y = &y;
+  ctx.index = f.index.get();
+  ctx.pinned = &f.pins;
+  Rng unused(0);
+  return ConflictQueryStrategy().SelectQueries(ctx, 5, &unused);
+}
+
+void BM_ConflictQuery(benchmark::State& state) {
+  SelectionFixture f(500, static_cast<size_t>(state.range(0)));
+  const Vector y = GreedySelect(f.scores, *f.index, f.pins, 0.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ConflictQueryRound(f, y));
+  }
+}
+BENCHMARK(BM_ConflictQuery)->Arg(2000)->Arg(20000);
+
 void BM_HungarianSelect(benchmark::State& state) {
   SelectionFixture f(200, static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -647,6 +671,24 @@ int RunRecord(const std::string& path) {
                "dense    gram 8192x30 %.3f ms, solve 256x128rhs %.3f ms\n",
                gram_ms, solve_ms);
 
+  // Label inference and the conflict query round at 500 users per side.
+  const size_t selection_users = 500;
+  const size_t selection_links = 20000;
+  SelectionFixture selection(selection_users, selection_links);
+  const Vector greedy_y =
+      GreedySelect(selection.scores, *selection.index, selection.pins, 0.0);
+  const double greedy_ms = TimeMs(5, 20, [&] {
+    (void)GreedySelect(selection.scores, *selection.index, selection.pins,
+                       0.0);
+  });
+  const double conflict_query_ms =
+      TimeMs(5, 20, [&] { (void)ConflictQueryRound(selection, greedy_y); });
+  std::fprintf(stderr,
+               "select   users=%zu links=%zu: greedy %.3f ms, conflict "
+               "query %.3f ms\n",
+               selection_users, selection_links, greedy_ms,
+               conflict_query_ms);
+
   std::fprintf(out, "{\n  \"bench\": \"kernels\",\n");
   std::fprintf(out,
                "  \"rank_k\": {\"d\": %zu, \"k\": %zu, \"sequential_ms\": "
@@ -687,8 +729,13 @@ int RunRecord(const std::string& path) {
   std::fprintf(out,
                "  \"dense\": {\"gram_rows\": 8192, \"gram_d\": 30, "
                "\"gram_ms\": %.4f, \"solve_dim\": 256, \"solve_nrhs\": 128, "
-               "\"solve_ms\": %.4f}\n}\n",
+               "\"solve_ms\": %.4f},\n",
                gram_ms, solve_ms);
+  std::fprintf(out,
+               "  \"selection\": {\"users\": %zu, \"links\": %zu, "
+               "\"greedy_ms\": %.4f, \"conflict_query_ms\": %.4f}\n}\n",
+               selection_users, selection_links, greedy_ms,
+               conflict_query_ms);
   std::fclose(out);
   std::fprintf(stderr, "wrote %s (measured crossover fraction: %.3f)\n",
                path.c_str(), crossover);

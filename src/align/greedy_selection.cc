@@ -1,8 +1,58 @@
 #include "src/align/greedy_selection.h"
 
-#include <algorithm>
+#include <array>
+#include <cstring>
+#include <utility>
 
 namespace activeiter {
+namespace {
+
+/// A free link in the order the greedy scan visits it.
+struct Ranked {
+  uint64_t key;  // DescendingKey(score)
+  size_t id;
+};
+
+/// A key whose unsigned order is `score`'s descending numeric order. −0.0
+/// folds into +0.0 because the two compare equal; then a non-negative
+/// score's IEEE bits get the sign bit set and a negative score's bits are
+/// complemented (unsigned order = numeric order), and the result is
+/// complemented (descending).
+uint64_t DescendingKey(double score) {
+  if (score == 0.0) score = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &score, sizeof(bits));
+  const uint64_t ascending = bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
+  return ~ascending;
+}
+
+/// Stable LSD radix sort by key, one byte per pass. A pass whose byte is
+/// the same in every key would move nothing and is skipped.
+void RadixSortByKey(std::vector<Ranked>* records) {
+  constexpr size_t kPasses = sizeof(uint64_t);
+  const size_t n = records->size();
+  if (n < 2) return;
+  std::array<std::array<size_t, 256>, kPasses> counts{};
+  for (const Ranked& r : *records) {
+    for (size_t pass = 0; pass < kPasses; ++pass) {
+      ++counts[pass][(r.key >> (8 * pass)) & 0xff];
+    }
+  }
+  std::vector<Ranked> scratch(n);
+  for (size_t pass = 0; pass < kPasses; ++pass) {
+    const size_t shift = 8 * pass;
+    std::array<size_t, 256>& offsets = counts[pass];
+    if (offsets[((*records)[0].key >> shift) & 0xff] == n) continue;
+    size_t total = 0;
+    for (size_t& slot : offsets) total += std::exchange(slot, total);
+    for (const Ranked& r : *records) {
+      scratch[offsets[(r.key >> shift) & 0xff]++] = r;
+    }
+    records->swap(scratch);
+  }
+}
+
+}  // namespace
 
 Vector GreedySelect(const Vector& scores, const IncidenceIndex& index,
                     const std::vector<Pin>& pinned, double threshold) {
@@ -40,23 +90,17 @@ Vector GreedySelectWithCapacity(const Vector& scores,
 
   // Pass 2: free links in decreasing score order; accept while above the
   // threshold and capacity remains. Ties broken by link id for
-  // determinism: records enter in id order and the sort is stable.
-  struct Ranked {
-    double score;
-    size_t id;
-  };
+  // determinism: records enter in id order and the radix sort is stable,
+  // so the scan order is that of a stable comparison sort, in O(|H|).
   std::vector<Ranked> order;
   order.reserve(n);
   const double* score = scores.data();
   for (size_t id = 0; id < n; ++id) {
     if (pinned[id] == Pin::kFree && score[id] > threshold) {
-      order.push_back({score[id], id});
+      order.push_back({DescendingKey(score[id]), id});
     }
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const Ranked& a, const Ranked& b) {
-                     return a.score > b.score;
-                   });
+  RadixSortByKey(&order);
   const auto& links = candidates.links();
   for (const Ranked& ranked : order) {
     const auto& [u1, u2] = links[ranked.id];

@@ -32,8 +32,9 @@ enum class Pin : int8_t {
 };
 
 /// Runs the greedy selection. `scores` and `pinned` are indexed by link id;
-/// returns the {0,+1} label vector. Deterministic: ties in score are broken
-/// by link id.
+/// returns the {0,+1} label vector. Deterministic: links are visited by
+/// decreasing score, equal scores (−0.0 and +0.0 included) by increasing
+/// link id. A stable radix sort yields that order in O(|H|).
 Vector GreedySelect(const Vector& scores, const IncidenceIndex& index,
                     const std::vector<Pin>& pinned, double threshold);
 

@@ -41,6 +41,48 @@ PositivesByUser GatherPositives(const IncidenceIndex& index, bool first_side,
   return out;
 }
 
+/// The k links with the smallest keys among those offered, ties going to
+/// the smaller link id: the first k of a stable sort by key over links in
+/// id order. A max-heap of at most k entries finds them in O(m log k) for
+/// m offers, without storing the rest.
+class TopK {
+ public:
+  explicit TopK(size_t k) : k_(k) {}
+
+  void Offer(double key, size_t link) {
+    const Entry entry{key, link};
+    if (heap_.size() < k_) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), Before);
+    } else if (k_ > 0 && Before(entry, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), Before);
+      heap_.back() = entry;
+      std::push_heap(heap_.begin(), heap_.end(), Before);
+    }
+  }
+
+  /// Appends the held links to `out`, best first, while it holds < limit.
+  /// Call once, after the last Offer: it sorts the heap in place.
+  void AppendTo(size_t limit, std::vector<size_t>* out) {
+    std::sort_heap(heap_.begin(), heap_.end(), Before);
+    for (size_t i = 0; i < heap_.size() && out->size() < limit; ++i) {
+      out->push_back(heap_[i].link);
+    }
+  }
+
+ private:
+  struct Entry {
+    double key;
+    size_t link;
+  };
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.key < b.key || (a.key == b.key && a.link < b.link);
+  }
+
+  size_t k_;
+  std::vector<Entry> heap_;
+};
+
 }  // namespace
 
 std::vector<size_t> ConflictQueryStrategy::SelectQueries(
@@ -55,7 +97,9 @@ std::vector<size_t> ConflictQueryStrategy::SelectQueries(
 
   // The U+ links at every endpoint are gathered once; each U− link then
   // visits only those at its own two endpoints. A one-to-one y leaves at
-  // most one U+ link per endpoint, so the round costs O(|H| + users).
+  // most one U+ link per endpoint, so that costs O(|H| + users). Each link
+  // offered to a TopK below costs at most O(log k), so with C the offered
+  // links the round costs O(|H| + users + |C| log k).
   const PositivesByUser first =
       GatherPositives(index, /*first_side=*/true, pinned, y);
   const PositivesByUser second =
@@ -63,16 +107,10 @@ std::vector<size_t> ConflictQueryStrategy::SelectQueries(
 
   // Candidate set C: links in U− (inferred negative, unpinned) that
   // conflict with a near-tied positive l' and a dominated positive l''.
-  struct Candidate {
-    size_t link;
-    double gap;  // ŷ_l − ŷ_l'' (sort key, larger first)
-  };
-  std::vector<Candidate> candidates;
-  struct NearMiss {
-    size_t link;
-    double distance;  // min |ŷ_l' − ŷ_l| over conflicting positives
-  };
-  std::vector<NearMiss> near_misses;
+  // Keyed by −(ŷ_l − ŷ_l''), so the largest gap ranks first.
+  TopK candidates(k);
+  // Keyed by the min |ŷ_l' − ŷ_l| over conflicting positives.
+  TopK near_misses(fill_with_near_misses_ ? k : 0);
   for (size_t l = 0; l < n; ++l) {
     if (pinned[l] != Pin::kFree || y[l] > 0.5) continue;  // need l ∈ U−
     const double score_l = scores[l];
@@ -106,28 +144,14 @@ std::vector<size_t> ConflictQueryStrategy::SelectQueries(
     // positive satisfies both, querying l is still informative, so we do
     // not force distinctness.
     if (has_close_winner && best_gap >= 0.0) {
-      candidates.push_back({l, best_gap});
+      candidates.Offer(-best_gap, l);
     } else if (min_distance >= 0.0) {
-      near_misses.push_back({l, min_distance});
+      near_misses.Offer(min_distance, l);
     }
   }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.gap > b.gap;
-                   });
   std::vector<size_t> out;
-  for (size_t i = 0; i < candidates.size() && out.size() < k; ++i) {
-    out.push_back(candidates[i].link);
-  }
-  if (fill_with_near_misses_ && out.size() < k) {
-    std::stable_sort(near_misses.begin(), near_misses.end(),
-                     [](const NearMiss& a, const NearMiss& b) {
-                       return a.distance < b.distance;
-                     });
-    for (size_t i = 0; i < near_misses.size() && out.size() < k; ++i) {
-      out.push_back(near_misses[i].link);
-    }
-  }
+  candidates.AppendTo(k, &out);
+  near_misses.AppendTo(k, &out);
   return out;
 }
 
@@ -150,23 +174,13 @@ std::vector<size_t> RandomQueryStrategy::SelectQueries(const QueryContext& ctx,
 std::vector<size_t> UncertaintyQueryStrategy::SelectQueries(
     const QueryContext& ctx, size_t k, Rng* /*rng*/) {
   ValidateContext(ctx);
-  struct Candidate {
-    size_t link;
-    double distance;
-  };
-  std::vector<Candidate> candidates;
+  TopK candidates(k);
   for (size_t l = 0; l < ctx.pinned->size(); ++l) {
     if ((*ctx.pinned)[l] != Pin::kFree) continue;
-    candidates.push_back({l, std::abs((*ctx.scores)(l) - threshold_)});
+    candidates.Offer(std::abs((*ctx.scores)(l) - threshold_), l);
   }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.distance < b.distance;
-                   });
   std::vector<size_t> out;
-  for (size_t i = 0; i < candidates.size() && out.size() < k; ++i) {
-    out.push_back(candidates[i].link);
-  }
+  candidates.AppendTo(k, &out);
   return out;
 }
 

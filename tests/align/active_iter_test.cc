@@ -1,5 +1,6 @@
 #include "src/align/active_iter.h"
 
+#include <cstdint>
 #include <memory>
 #include <set>
 
@@ -247,6 +248,55 @@ TEST(ActiveIterTest, DeterministicForSameSeed) {
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ((r1.value().y - r2.value().y).Norm1(), 0.0);
   EXPECT_EQ(r1.value().QueriedLinkIds(), r2.value().QueriedLinkIds());
+}
+
+/// FNV-1a over a run's discrete outputs: the final labels, the queried
+/// link ids in query order, and the inner-iteration count of every round.
+uint64_t RunFingerprint(const ActiveIterResult& result) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  mix(result.y.size());
+  for (size_t i = 0; i < result.y.size(); ++i) {
+    mix(static_cast<uint64_t>(result.y(i)));
+  }
+  mix(result.queries.size());
+  for (const auto& q : result.queries) mix(q.link_id);
+  mix(result.round_traces.size());
+  for (const auto& trace : result.round_traces) mix(trace.iterations());
+  return h;
+}
+
+TEST(ActiveIterTest, GoldenRunFingerprints) {
+  // Pins the paper's run end to end on one fixed instance, noisy enough
+  // that some queries come back positive and some rounds need three inner
+  // iterations. Any change to label inference, query selection or the
+  // alternation that moves a label, a query or an iteration count changes
+  // these constants.
+  struct Golden {
+    QueryStrategyKind strategy;
+    uint64_t fingerprint;
+  };
+  const Golden kGolden[] = {
+      {QueryStrategyKind::kConflict, 5845995567218489248ULL},
+      {QueryStrategyKind::kUncertainty, 3938884513348528042ULL},
+  };
+  ActiveFixture f(20, 0.3, 12);
+  for (const Golden& golden : kGolden) {
+    ActiveIterOptions options;
+    options.budget = 20;
+    options.batch_size = 5;
+    options.strategy = golden.strategy;
+    ActiveIterModel model(options);
+    Oracle oracle(f.pair, options.budget);
+    auto result = model.Run(f.Problem(), &oracle);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().queries.size(), 20u);
+    EXPECT_EQ(RunFingerprint(result.value()), golden.fingerprint)
+        << "strategy " << static_cast<int>(golden.strategy);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "src/align/greedy_selection.h"
 
+#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -103,6 +104,89 @@ TEST(GreedySelectTest, EmptyCandidateSet) {
   Fixture f = MakeFixture(1, 1, {});
   Vector y = GreedySelect(Vector(), *f.index, {}, 0.5);
   EXPECT_EQ(y.size(), 0u);
+}
+
+/// Greedy selection written from its definition: pinned positives take
+/// capacity first (even past it), then free links scoring above the
+/// threshold are visited by decreasing score and accepted while both
+/// endpoints have capacity left. The sort is stable over link ids, so
+/// equal scores, +0.0 and −0.0 included, are visited in link-id order.
+Vector ReferenceGreedy(const Vector& scores, const Fixture& f,
+                       const std::vector<Pin>& pins, double threshold,
+                       size_t capacity_first, size_t capacity_second) {
+  const size_t n = scores.size();
+  Vector y(n);
+  std::vector<size_t> used_first(f.index->users_first(), 0);
+  std::vector<size_t> used_second(f.index->users_second(), 0);
+  std::vector<size_t> order;
+  for (size_t l = 0; l < n; ++l) {
+    const auto& [u1, u2] = f.candidates.link(l);
+    if (pins[l] == Pin::kPositive) {
+      y(l) = 1.0;
+      ++used_first[u1];
+      ++used_second[u2];
+    } else if (pins[l] == Pin::kFree && scores(l) > threshold) {
+      order.push_back(l);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return scores(a) > scores(b);
+  });
+  for (size_t l : order) {
+    const auto& [u1, u2] = f.candidates.link(l);
+    if (used_first[u1] < capacity_first && used_second[u2] < capacity_second) {
+      y(l) = 1.0;
+      ++used_first[u1];
+      ++used_second[u2];
+    }
+  }
+  return y;
+}
+
+TEST(GreedySelectTest, MatchesSortedDefinition) {
+  // Small random instances: few users and repeated pairs, so endpoints
+  // conflict often and pinned positives can exceed a capacity. Scores sit
+  // on a dyadic grid, so ties occur; a zero score is +0.0 or −0.0 at
+  // random, two equal scores that compete only under the negative
+  // threshold.
+  const double kStep = 1.0 / 8.0;
+  const size_t kCapacities[][2] = {{1, 1}, {2, 1}, {1, 3}, {2, 2}};
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    Rng rng(seed);
+    const size_t users1 = 1 + rng.UniformInt(6);
+    const size_t users2 = 1 + rng.UniformInt(6);
+    std::vector<std::pair<NodeId, NodeId>> links(rng.UniformInt(41));
+    for (auto& link : links) {
+      link = {static_cast<NodeId>(rng.UniformInt(users1)),
+              static_cast<NodeId>(rng.UniformInt(users2))};
+    }
+    Fixture f = MakeFixture(users1, users2, links);
+    const size_t n = links.size();
+    Vector scores(n);
+    std::vector<Pin> pins(n, Pin::kFree);
+    for (size_t l = 0; l < n; ++l) {
+      scores(l) = static_cast<double>(rng.UniformRange(-4, 8)) * kStep;
+      if (scores(l) == 0.0 && rng.Bernoulli(0.5)) scores(l) = -0.0;
+      const double pin = rng.UniformDouble();
+      if (pin < 0.15) pins[l] = Pin::kPositive;
+      if (pin > 0.85) pins[l] = Pin::kNegative;
+    }
+    for (double threshold : {-0.25, 0.0, 0.25}) {
+      for (const auto& [cap1, cap2] : kCapacities) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " threshold "
+                                        << threshold << " capacities "
+                                        << cap1 << "," << cap2);
+        const Vector y = GreedySelectWithCapacity(scores, *f.index, pins,
+                                                  threshold, cap1, cap2);
+        ASSERT_EQ(y.values(),
+                  ReferenceGreedy(scores, f, pins, threshold, cap1, cap2)
+                      .values());
+        ++compared;
+      }
+    }
+  }
+  EXPECT_EQ(compared, 36000u);
 }
 
 TEST(GreedyCapacityTest, CapacityTwoAdmitsTwoLinksPerUser) {

@@ -213,6 +213,27 @@ std::vector<size_t> ReferenceConflictQueries(
   return out;
 }
 
+/// A random instance for the brute-force tests: 1–6 users per side and up
+/// to 40 candidate links, so endpoints are shared and pairs repeat. Scores,
+/// labels and pins are left for the caller.
+Fixture RandomFixture(Rng& rng) {
+  const size_t users1 = 1 + rng.UniformInt(6);
+  const size_t users2 = 1 + rng.UniformInt(6);
+  HeteroNetwork a(NetworkSchema::SocialNetwork(), "n1");
+  a.AddNodes(NodeType::kUser, users1);
+  HeteroNetwork b(NetworkSchema::SocialNetwork(), "n2");
+  b.AddNodes(NodeType::kUser, users2);
+  Fixture f{AlignedPair(std::move(a), std::move(b)), {}, nullptr,
+            {}, {}, {}};
+  const size_t n = rng.UniformInt(41);
+  for (size_t l = 0; l < n; ++l) {
+    f.candidates.Add(static_cast<NodeId>(rng.UniformInt(users1)),
+                     static_cast<NodeId>(rng.UniformInt(users2)));
+  }
+  f.index = std::make_unique<IncidenceIndex>(f.pair, f.candidates);
+  return f;
+}
+
 TEST(ConflictStrategyTest, MatchesBruteForceDefinition) {
   // Small random instances: few users, so every endpoint carries several
   // U+ links and pairs repeat; labels are not one-to-one and include the
@@ -224,20 +245,8 @@ TEST(ConflictStrategyTest, MatchesBruteForceDefinition) {
   size_t compared = 0;
   for (uint64_t seed = 1; seed <= 3000; ++seed) {
     Rng rng(seed);
-    const size_t users1 = 1 + rng.UniformInt(6);
-    const size_t users2 = 1 + rng.UniformInt(6);
-    HeteroNetwork a(NetworkSchema::SocialNetwork(), "n1");
-    a.AddNodes(NodeType::kUser, users1);
-    HeteroNetwork b(NetworkSchema::SocialNetwork(), "n2");
-    b.AddNodes(NodeType::kUser, users2);
-    Fixture f{AlignedPair(std::move(a), std::move(b)), {}, nullptr,
-              {}, {}, {}};
-    const size_t n = rng.UniformInt(41);
-    for (size_t l = 0; l < n; ++l) {
-      f.candidates.Add(static_cast<NodeId>(rng.UniformInt(users1)),
-                       static_cast<NodeId>(rng.UniformInt(users2)));
-    }
-    f.index = std::make_unique<IncidenceIndex>(f.pair, f.candidates);
+    Fixture f = RandomFixture(rng);
+    const size_t n = f.candidates.size();
     std::vector<bool> tombstoned(n, false);
     std::vector<size_t> removed;
     for (size_t l = 0; l < n; ++l) {
@@ -309,6 +318,49 @@ TEST(UncertaintyStrategyTest, PicksNearThreshold) {
   ASSERT_EQ(picks.size(), 1u);
   // Scores: 0.62, 0.60, 0.20, 0.10 -> closest to 0.5 is link 1 (0.60).
   EXPECT_EQ(picks[0], 1u);
+}
+
+TEST(UncertaintyStrategyTest, MatchesBruteForceDefinition) {
+  // Uncertainty sampling from its definition: the free links sorted by
+  // |ŷ − t|, stably over link ids, then the first k. Scores sit on a
+  // dyadic grid, so distances tie on both sides of the threshold.
+  const double kStep = 1.0 / 16.0;
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    Rng rng(seed);
+    Fixture f = RandomFixture(rng);
+    const size_t n = f.candidates.size();
+    f.scores = Vector(n);
+    f.y = Vector(n);
+    f.pinned.assign(n, Pin::kFree);
+    for (size_t l = 0; l < n; ++l) {
+      f.scores(l) = static_cast<double>(rng.UniformRange(-4, 16)) * kStep;
+      const double pin = rng.UniformDouble();
+      if (pin < 0.15) f.pinned[l] = Pin::kPositive;
+      if (pin > 0.85) f.pinned[l] = Pin::kNegative;
+    }
+    const double threshold = seed % 2 == 0 ? 0.0 : 0.5;
+    std::vector<size_t> free_links;
+    for (size_t l = 0; l < n; ++l) {
+      if (f.pinned[l] == Pin::kFree) free_links.push_back(l);
+    }
+    std::stable_sort(free_links.begin(), free_links.end(),
+                     [&](size_t l1, size_t l2) {
+                       return std::abs(f.scores(l1) - threshold) <
+                              std::abs(f.scores(l2) - threshold);
+                     });
+    for (size_t k : {size_t{1}, size_t{5}, n}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " k " << k);
+      std::vector<size_t> expected(
+          free_links.begin(),
+          free_links.begin() + std::min(k, free_links.size()));
+      UncertaintyQueryStrategy strategy(threshold);
+      Rng unused(0);
+      ASSERT_EQ(strategy.SelectQueries(f.Context(), k, &unused), expected);
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 9000u);
 }
 
 TEST(StrategyNamesAreStable, Names) {

@@ -8,10 +8,11 @@
 //   * --record=PATH — hand-timed record of the blocked-kernel speedups
 //     (rank-k absorb vs sequential rank-1s, rank-k downdate vs refactor,
 //     incremental SpGEMM vs full recompute with its measured crossover
-//     sweep, tiled dense Gram/solve) and of the selection kernels (greedy
-//     selection and the conflict query round at 20,000 links)
-//     written as compact JSON. CI re-records it as BENCH_kernels.json; the
-//     committed copy is the PR's perf baseline.
+//     sweep, tiled dense Gram/solve), of the selection kernels (greedy
+//     selection and the conflict query round at 20,000 links) and of
+//     feature extraction (the offline fold's Extract and a bench-scale
+//     delta refresh), written as compact JSON. CI re-records it as
+//     BENCH_kernels.json; the committed copy is the PR's perf baseline.
 
 #include <algorithm>
 #include <cstdio>
@@ -29,11 +30,13 @@
 #include "src/common/thread_pool.h"
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
+#include "src/eval/protocol.h"
 #include "src/learn/ridge.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/sparse_ops.h"
 #include "src/metadiagram/delta_features.h"
 #include "src/metadiagram/features.h"
+#include "src/serve/delta_stream.h"
 
 namespace activeiter {
 namespace {
@@ -607,6 +610,57 @@ SpliceRecord RecordSplice(const SparseMatrix& a, const SparseMatrix& b,
   return rec;
 }
 
+struct ExtractionRecord {
+  size_t fold_candidates = 0;
+  double extract_ms = 0.0;
+  size_t refresh_batches = 0;
+  double refresh_p50_ms = 0.0;
+};
+
+// Both serial, on the Foursquare–Twitter-like pair at seed 42: Extract of
+// fold 0 under the offline workload's protocol (θ = 50, γ = 0.6, 10
+// folds), and the median Refresh over a stream carved like the ingest
+// workloads' (128 batches, np-ratio 40) — each delta applied, noted and
+// refreshed in turn, as FeaturePlane does per batch.
+ExtractionRecord RecordExtraction() {
+  ExtractionRecord rec;
+  auto pair = AlignedNetworkGenerator(FoursquareTwitterPreset(42)).Generate();
+  ProtocolConfig config;
+  config.np_ratio = 50.0;
+  config.sample_ratio = 0.6;
+  config.num_folds = 10;
+  config.seed = 42 ^ 0xF01DULL;
+  auto protocol = Protocol::Create(pair.value(), config);
+  const FoldData fold = protocol.value().MakeFold(0);
+  rec.fold_candidates = fold.size();
+  rec.extract_ms = TimeMs(3, 1, [&] {
+    (void)FeatureExtractor(pair.value(), fold.train_anchors)
+        .Extract(fold.candidates);
+  });
+
+  DeltaStreamOptions carve;
+  carve.num_batches = 128;
+  carve.np_ratio = 40.0;
+  auto stream = CarveDeltaStream(pair.value(), carve);
+  AlignedPair& live = stream.value().initial;
+  DeltaFeatureExtractor extractor(live, stream.value().train_anchors);
+  (void)extractor.Refresh();  // epoch 0 computes every diagram
+  std::vector<double> refresh_ms;
+  for (const ServeDelta& batch : stream.value().batches) {
+    (void)live.ApplyDelta(batch.graph);
+    extractor.NoteDelta(batch.graph);
+    Stopwatch watch;
+    (void)extractor.Refresh();
+    refresh_ms.push_back(watch.ElapsedMillis());
+  }
+  rec.refresh_batches = refresh_ms.size();
+  std::nth_element(refresh_ms.begin(),
+                   refresh_ms.begin() + refresh_ms.size() / 2,
+                   refresh_ms.end());
+  rec.refresh_p50_ms = refresh_ms[refresh_ms.size() / 2];
+  return rec;
+}
+
 int RunRecord(const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -689,6 +743,13 @@ int RunRecord(const std::string& path) {
                selection_users, selection_links, greedy_ms,
                conflict_query_ms);
 
+  ExtractionRecord extraction = RecordExtraction();
+  std::fprintf(stderr,
+               "extract  fold 0 (%zu links): %.3f ms; refresh p50 over %zu "
+               "batches: %.3f ms\n",
+               extraction.fold_candidates, extraction.extract_ms,
+               extraction.refresh_batches, extraction.refresh_p50_ms);
+
   std::fprintf(out, "{\n  \"bench\": \"kernels\",\n");
   std::fprintf(out,
                "  \"rank_k\": {\"d\": %zu, \"k\": %zu, \"sequential_ms\": "
@@ -733,9 +794,15 @@ int RunRecord(const std::string& path) {
                gram_ms, solve_ms);
   std::fprintf(out,
                "  \"selection\": {\"users\": %zu, \"links\": %zu, "
-               "\"greedy_ms\": %.4f, \"conflict_query_ms\": %.4f}\n}\n",
+               "\"greedy_ms\": %.4f, \"conflict_query_ms\": %.4f},\n",
                selection_users, selection_links, greedy_ms,
                conflict_query_ms);
+  std::fprintf(out,
+               "  \"extraction\": {\"fold_candidates\": %zu, "
+               "\"extract_ms\": %.4f, \"refresh_batches\": %zu, "
+               "\"refresh_p50_ms\": %.4f}\n}\n",
+               extraction.fold_candidates, extraction.extract_ms,
+               extraction.refresh_batches, extraction.refresh_p50_ms);
   std::fclose(out);
   std::fprintf(stderr, "wrote %s (measured crossover fraction: %.3f)\n",
                path.c_str(), crossover);

@@ -349,6 +349,91 @@ SparseMatrix Hadamard(const SparseMatrix& a, const SparseMatrix& b,
   return StitchBlocks(rows, a.cols(), std::move(blocks), pool);
 }
 
+namespace {
+
+// Row-wise Kronecker product M₁ ⊙ … ⊙ Mₖ of equal-height factors: row r
+// holds M₁(r, a₁)·…·Mₖ(r, aₖ) for every tuple (a₁, …, aₖ). Tuples are
+// numbered factor by factor: after factor i, the pair (prefix id, aᵢ)
+// becomes its rank in (*dicts)[i - 1], a sorted list of the 64-bit pair
+// keys. `extend` builds the lists from this product's pairs; otherwise
+// pairs missing from them are dropped. Ranks keep key order and each row
+// is enumerated in key order, so rows come out sorted.
+SparseMatrix RowKronecker(const std::vector<const SparseMatrix*>& factors,
+                          std::vector<std::vector<uint64_t>>* dicts,
+                          bool extend) {
+  const SparseMatrix& head = *factors.front();
+  const size_t rows = head.rows();
+  std::vector<size_t> ptr = head.row_ptr();
+  std::vector<uint32_t> ids = head.col_idx();
+  std::vector<double> vals = head.values();
+  size_t width = head.cols();
+  for (size_t f = 1; f < factors.size(); ++f) {
+    const auto& m_ptr = factors[f]->row_ptr();
+    const auto& m_col = factors[f]->col_idx();
+    const auto& m_val = factors[f]->values();
+    std::vector<uint64_t> keys;
+    std::vector<double> products;
+    std::vector<size_t> pair_ptr(rows + 1, 0);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t p = ptr[r]; p < ptr[r + 1]; ++p) {
+        for (size_t q = m_ptr[r]; q < m_ptr[r + 1]; ++q) {
+          keys.push_back((static_cast<uint64_t>(ids[p]) << 32) | m_col[q]);
+          products.push_back(vals[p] * m_val[q]);
+        }
+      }
+      pair_ptr[r + 1] = keys.size();
+    }
+    std::vector<uint64_t>& dict = (*dicts)[f - 1];
+    if (extend) {
+      dict = keys;
+      std::sort(dict.begin(), dict.end());
+      dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+    }
+    ids.clear();
+    vals.clear();
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t p = pair_ptr[r]; p < pair_ptr[r + 1]; ++p) {
+        auto it = std::lower_bound(dict.begin(), dict.end(), keys[p]);
+        if (it == dict.end() || *it != keys[p]) continue;
+        ids.push_back(static_cast<uint32_t>(it - dict.begin()));
+        vals.push_back(products[p]);
+      }
+      ptr[r + 1] = ids.size();
+    }
+    width = dict.size();
+  }
+  return SparseMatrix::FromCsrUnchecked(rows, width, std::move(ptr),
+                                        std::move(ids), std::move(vals));
+}
+
+}  // namespace
+
+SparseMatrix FaceSplitHadamard(const std::vector<const SparseMatrix*>& xs,
+                               const std::vector<const SparseMatrix*>& ys,
+                               ThreadPool* pool) {
+  ACTIVEITER_CHECK_MSG(!xs.empty() && xs.size() == ys.size(),
+                       "FaceSplitHadamard needs k >= 1 (X, Y) pairs");
+  for (size_t i = 0; i < xs.size(); ++i) {
+    ACTIVEITER_CHECK_MSG(xs[i]->rows() == xs[0]->rows() &&
+                             ys[i]->cols() == ys[0]->cols() &&
+                             xs[i]->cols() == ys[i]->rows(),
+                         "FaceSplitHadamard shape mismatch");
+  }
+  std::vector<SparseMatrix> y_transposed;
+  y_transposed.reserve(ys.size());
+  std::vector<const SparseMatrix*> y_rows;
+  for (const SparseMatrix* y : ys) {
+    y_transposed.push_back(Transpose(*y, pool));
+    y_rows.push_back(&y_transposed.back());
+  }
+  // The tuples the left factor forms number the inner dimension; a right
+  // tuple outside them meets no left entry and is dropped.
+  std::vector<std::vector<uint64_t>> dicts(xs.size() - 1);
+  SparseMatrix left = RowKronecker(xs, &dicts, /*extend=*/true);
+  SparseMatrix right = RowKronecker(y_rows, &dicts, /*extend=*/false);
+  return SpGemm(left, Transpose(right, pool), pool);
+}
+
 SparseMatrix Add(const SparseMatrix& a, const SparseMatrix& b) {
   ACTIVEITER_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
                        "Add shape mismatch");

@@ -50,6 +50,23 @@ SparseMatrix SpGemmRowUpdate(const SparseMatrix& base, const SparseMatrix& a,
 SparseMatrix Hadamard(const SparseMatrix& a, const SparseMatrix& b,
                       ThreadPool* pool = nullptr);
 
+/// (X₁Y₁) ∘ … ∘ (XₖYₖ) without forming any XᵢYᵢ, by the face-splitting
+/// identity (X₁Y₁)∘(X₂Y₂) = (X₁⊙X₂)(Y₁ᵀ⊙Y₂ᵀ)ᵀ, where ⊙ is the row-wise
+/// Kronecker product: one SpGemm whose inner dimension is the attribute
+/// tuples (a₁, …, aₖ) that occur in some row of every Xᵢ, numbered densely
+/// (never a₁·|A₂| + a₂, which would overflow 32 bits once |A₁|·|A₂| ≥ 2³²).
+/// Cost O(nnz of the row-wise Kronecker factors + that one product), where
+/// the Hadamard of k chain products pays for k of them in full.
+/// Requires k ≥ 1 equal-height xs, equal-width ys and xs[i].cols() ==
+/// ys[i].rows() (checked). Summation is regrouped, so the result equals
+/// Hadamard(SpGemm(X₁, Y₁), SpGemm(X₂, Y₂)) bitwise when every stored value
+/// is a positive integer and every sum stays below 2⁵³, as meta-diagram
+/// counts do; otherwise only to rounding. Pooled and serial results are
+/// identical.
+SparseMatrix FaceSplitHadamard(const std::vector<const SparseMatrix*>& xs,
+                               const std::vector<const SparseMatrix*>& ys,
+                               ThreadPool* pool = nullptr);
+
 /// A + B; shapes must match (checked).
 SparseMatrix Add(const SparseMatrix& a, const SparseMatrix& b);
 

@@ -360,11 +360,14 @@ DeltaFeatureExtractor::RowUpdateDirtyRoots(const ProductPlanCache& old_cache) {
           }
           IncResult next;
           next.changed = ChangedProductRows(*cur, *rhs);
-          const size_t out_rows = cur->matrix->rows();
-          auto base = padded_base(prefix_sig);
-          if (base == nullptr ||
-              static_cast<double>(next.changed.size()) >
-                  max_fraction * static_cast<double>(out_rows)) {
+          // Decide before padding: a prefix that bails would throw the
+          // O(nnz) padded copy away.
+          std::shared_ptr<const SparseMatrix> base;
+          if (static_cast<double>(next.changed.size()) <=
+              max_fraction * static_cast<double>(cur->matrix->rows())) {
+            base = padded_base(prefix_sig);
+          }
+          if (base == nullptr) {
             failed.insert(sig);
             return nullptr;
           }
@@ -380,38 +383,55 @@ DeltaFeatureExtractor::RowUpdateDirtyRoots(const ProductPlanCache& old_cache) {
         return cur;  // the last prefix signature IS the chain signature
       }
       case DiagramNode::Kind::kParallel: {
-        const auto& children = node->children();
-        std::vector<const IncResult*> parts;
-        parts.reserve(children.size());
-        for (const auto& c : children) {
-          const IncResult* r = eval(c);
-          if (r == nullptr) {
+        // A face-split node's branches X·Y are never formed: the node is
+        // recomputed in O(posts) rather than spliced, and each branch's
+        // changed rows follow from X's and Y's. Any other stack refolds its
+        // Hadamard in the evaluator's exact child order (elementwise,
+        // O(nnz) — far below any chain product). Changed rows of an
+        // elementwise product are a subset of the union of the branches'.
+        const bool face_split = IsFaceSplit(*node);
+        std::vector<const SparseMatrix*> xs, ys, branches;
+        std::vector<std::vector<uint32_t>> branch_changed;
+        for (const auto& c : node->children()) {
+          if (face_split) {
+            const IncResult* x = eval(c->children()[0]);
+            const IncResult* y =
+                x != nullptr ? eval(c->children()[1]) : nullptr;
+            if (y == nullptr) {
+              failed.insert(sig);
+              return nullptr;
+            }
+            xs.push_back(x->matrix.get());
+            ys.push_back(y->matrix.get());
+            branch_changed.push_back(ChangedProductRows(*x, *y));
+            continue;
+          }
+          const IncResult* b = eval(c);
+          if (b == nullptr) {
             failed.insert(sig);
             return nullptr;
           }
-          parts.push_back(r);
+          branches.push_back(b->matrix.get());
+          branch_changed.push_back(b->changed);
         }
-        // Refold the Hadamard stack in the evaluator's exact child order
-        // (elementwise, O(nnz) — far below any chain product). Changed
-        // rows of an elementwise product are a subset of the union of the
-        // branches' changed rows.
-        SparseMatrix m =
-            Hadamard(*parts[0]->matrix, *parts[1]->matrix, options_.pool);
-        for (size_t i = 2; i < parts.size(); ++i) {
-          m = Hadamard(m, *parts[i]->matrix, options_.pool);
+        SparseMatrix m = face_split
+                             ? FaceSplitHadamard(xs, ys, options_.pool)
+                             : Hadamard(*branches[0], *branches[1],
+                                        options_.pool);
+        for (size_t i = 2; i < branches.size(); ++i) {
+          m = Hadamard(m, *branches[i], options_.pool);
         }
         IncResult r;
-        for (const IncResult* p : parts) {
-          if (p->changed.empty()) continue;
+        for (std::vector<uint32_t>& changed : branch_changed) {
+          if (changed.empty()) continue;
           if (r.changed.empty()) {
-            r.changed = p->changed;
+            r.changed = std::move(changed);
             continue;
           }
           std::vector<uint32_t> merged;
-          merged.reserve(r.changed.size() + p->changed.size());
-          std::set_union(r.changed.begin(), r.changed.end(),
-                         p->changed.begin(), p->changed.end(),
-                         std::back_inserter(merged));
+          merged.reserve(r.changed.size() + changed.size());
+          std::set_union(r.changed.begin(), r.changed.end(), changed.begin(),
+                         changed.end(), std::back_inserter(merged));
           r.changed = std::move(merged);
         }
         r.matrix =

@@ -22,6 +22,11 @@
 //     (SpGemmRowUpdate — bitwise-equal to the full SpGEMM), falling back
 //     to the full chain recompute when the changed-row fraction exceeds
 //     FeatureExtractorOptions::spgemm_row_update_max_fraction;
+//   * a face-split node (IsFaceSplit — Ψ2's co-timed ∘ co-located post
+//     pairs) is recomputed, not spliced: FaceSplitHadamard costs O(posts)
+//     and never forms the post × post branch products a splice would need
+//     as bases. Its changed rows follow from its factors' changed rows, so
+//     the chains above it still splice;
 //   * a diagram whose root signature survives migration is served without
 //     touching a single kernel; remaining dirty diagrams re-evaluate and
 //     hit the migrated cache for every clean or spliced sub-chain (the

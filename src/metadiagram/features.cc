@@ -34,6 +34,23 @@ MetaDiagram FuseSocialPair(const MetaPath& a, const MetaPath& b) {
                      std::move(chain));
 }
 
+/// A four-step attribute path U–P–A–P–U as Chain(Chain(s0, s1), Chain(s2,
+/// s3)): evaluated as (U1×A)·(A×U2), it never forms the U1×P2 product a
+/// left-to-right chain does. Counts are integers, so the regrouping leaves
+/// every value unchanged.
+MetaDiagram HalvedAttributePath(const MetaPath& path) {
+  const auto& s = path.steps();
+  ACTIVEITER_CHECK(s.size() == 4);
+  auto user_side = DiagramBuilder::Chain(
+      {DiagramBuilder::Step(s[0]), DiagramBuilder::Step(s[1])});
+  auto other_side = DiagramBuilder::Chain(
+      {DiagramBuilder::Step(s[2]), DiagramBuilder::Step(s[3])});
+  ACTIVEITER_CHECK(user_side.ok() && other_side.ok());
+  return MustDiagram(path.id(), path.semantics(),
+                     DiagramBuilder::Chain({std::move(user_side).value(),
+                                            std::move(other_side).value()}));
+}
+
 /// Ψ2: the two attribute paths stacked on the same post pair — posts that
 /// share BOTH timestamp and location (the "dislocation" fix of §III-B.2).
 MetaDiagram MakePsi2() {
@@ -73,14 +90,17 @@ std::vector<MetaDiagram> StandardDiagramCatalog(FeatureSet set,
                                                 bool include_word_path) {
   std::vector<MetaDiagram> catalog;
   std::vector<MetaPath> social = SocialMetaPaths();
-  std::vector<MetaPath> attr = AttributeMetaPaths();
+  std::vector<MetaDiagram> attr_diagrams;
+  for (const auto& p : AttributeMetaPaths()) {
+    attr_diagrams.push_back(HalvedAttributePath(p));
+  }
+  if (include_word_path) {
+    attr_diagrams.push_back(HalvedAttributePath(CommonWordMetaPath()));
+  }
 
   // P: the meta paths themselves (a path is a special diagram).
   for (const auto& p : social) catalog.push_back(MetaDiagram::FromMetaPath(p));
-  for (const auto& p : attr) catalog.push_back(MetaDiagram::FromMetaPath(p));
-  if (include_word_path) {
-    catalog.push_back(MetaDiagram::FromMetaPath(CommonWordMetaPath()));
-  }
+  for (const auto& d : attr_diagrams) catalog.push_back(d);
   if (set == FeatureSet::kMetaPathOnly) return catalog;
 
   // Ψf²: fused unordered pairs of social paths (shared anchored pair).
@@ -97,11 +117,6 @@ std::vector<MetaDiagram> StandardDiagramCatalog(FeatureSet set,
   catalog.push_back(psi2);
 
   // Ψf,a: social path × attribute path, endpoint-only.
-  std::vector<MetaDiagram> attr_diagrams;
-  for (const auto& p : attr) attr_diagrams.push_back(MetaDiagram::FromMetaPath(p));
-  if (include_word_path) {
-    attr_diagrams.push_back(MetaDiagram::FromMetaPath(CommonWordMetaPath()));
-  }
   for (const auto& ps : social) {
     MetaDiagram ps_diag = MetaDiagram::FromMetaPath(ps);
     for (const auto& pa : attr_diagrams) {

@@ -169,6 +169,18 @@ std::string TransposedSignature(const DiagramNode& node) {
   return {};
 }
 
+bool IsFaceSplit(const DiagramNode& node) {
+  if (node.kind() != DiagramNode::Kind::kParallel) return false;
+  for (const auto& branch : node.children()) {
+    if (branch->kind() != DiagramNode::Kind::kChain ||
+        branch->children().size() != 2 ||
+        !IsSharedAttributeType(branch->children()[0]->target_type())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 DiagramEvaluator::DiagramEvaluator(const RelationContext* ctx,
                                    EvaluatorOptions options)
     : ctx_(ctx),
@@ -225,6 +237,21 @@ std::shared_ptr<const SparseMatrix> DiagramEvaluator::EvaluateChain(
   return cur;
 }
 
+std::shared_ptr<const SparseMatrix> DiagramEvaluator::EvaluateFaceSplit(
+    const DiagramNode& node) {
+  std::vector<std::shared_ptr<const SparseMatrix>> factors;
+  std::vector<const SparseMatrix*> xs, ys;
+  for (const auto& branch : node.children()) {
+    factors.push_back(Evaluate(branch->children()[0]));
+    xs.push_back(factors.back().get());
+    factors.push_back(Evaluate(branch->children()[1]));
+    ys.push_back(factors.back().get());
+  }
+  cache_->CountProduct();
+  return std::make_shared<SparseMatrix>(
+      FaceSplitHadamard(xs, ys, options_.pool));
+}
+
 std::shared_ptr<const SparseMatrix> DiagramEvaluator::Evaluate(
     const ExprPtr& node) {
   ACTIVEITER_CHECK(node != nullptr);
@@ -255,6 +282,10 @@ std::shared_ptr<const SparseMatrix> DiagramEvaluator::Evaluate(
       break;
     }
     case DiagramNode::Kind::kParallel: {
+      if (IsFaceSplit(*node)) {
+        result = EvaluateFaceSplit(*node);
+        break;
+      }
       // Builder collapses singleton parallels, so there are >= 2 children;
       // fold the first product directly rather than copying child 0.
       auto first = Evaluate(node->children()[0]);

@@ -20,6 +20,11 @@
 //              write2<)
 //   Ψ3 = Parallel(P1, Ψ2)                      (endpoint-only stacking)
 //
+// Ψ2's middle is evaluated without either branch product (IsFaceSplit),
+// and the catalog builds each attribute path U–P–A–P–U as
+// Chain(Chain(U→P, P→A), Chain(A→P, P→U)), so no post-indexed
+// intermediate wider than the posts themselves is ever formed.
+//
 // Hadamard products implement the Lemma 1/2 covering-set pruning
 // intrinsically: an entry of a Parallel is nonzero only where every branch
 // (hence every covering meta path) is nonzero.
@@ -130,6 +135,13 @@ class MetaDiagram {
 /// chain from the cached product of its reversal via one Transpose.
 std::string TransposedSignature(const DiagramNode& node);
 
+/// True for a Parallel whose branches are all two-step chains Xᵢ·Yᵢ through
+/// a shared attribute type — Ψ2's post-pair middle. The evaluator computes
+/// such a node with FaceSplitHadamard over the branches' Xᵢ and Yᵢ and never
+/// forms a branch product: O(posts), where the branch products are
+/// post × post.
+bool IsFaceSplit(const DiagramNode& node);
+
 /// Evaluation knobs. The sharing flags exist so tests/benches can compare
 /// the factored engine against plain per-diagram evaluation.
 struct EvaluatorOptions {
@@ -145,9 +157,12 @@ struct EvaluatorOptions {
   bool share_chain_prefixes = true;
   /// Serve a chain whose reversal is cached with a single transpose.
   /// Bitwise equality with the uncached path assumes count matrices hold
-  /// exactly-representable integers (< 2^53): the reversal is computed in
-  /// the opposite association, which FP non-associativity would expose on
-  /// non-integer inputs (e.g. pre-normalised adjacencies).
+  /// positive, exactly-representable integers (< 2^53): the reversal is
+  /// computed in the opposite association, which FP non-associativity
+  /// would expose on non-integer inputs (e.g. pre-normalised adjacencies).
+  /// The same precondition makes every association of a chain, and the
+  /// face-split evaluation of IsFaceSplit nodes (always on), produce the
+  /// same values and the same nonzero structure.
   bool share_transposes = true;
 };
 
@@ -186,6 +201,8 @@ class DiagramEvaluator {
 
  private:
   std::shared_ptr<const SparseMatrix> EvaluateChain(const DiagramNode& node);
+  std::shared_ptr<const SparseMatrix> EvaluateFaceSplit(
+      const DiagramNode& node);
 
   const RelationContext* ctx_;
   EvaluatorOptions options_;

@@ -206,6 +206,143 @@ TEST(HadamardTest, SupportIsIntersection) {
   EXPECT_EQ(h.At(0, 1), 12.0);
 }
 
+/// rows×cols counts: up to `max_per_row` entries in a row (0 leaves it
+/// empty), values 1–3 — the positive small integers the face-splitting
+/// identity is exact on.
+SparseMatrix RandomCounts(size_t rows, size_t cols, size_t max_per_row,
+                          uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Triplet> trips;
+  for (size_t i = 0; i < rows; ++i) {
+    const size_t count = rng.UniformInt(max_per_row + 1);
+    for (size_t t = 0; t < count; ++t) {
+      trips.push_back({static_cast<uint32_t>(i),
+                       static_cast<uint32_t>(rng.UniformInt(cols)),
+                       static_cast<double>(1 + rng.UniformInt(3))});
+    }
+  }
+  return SparseMatrix::FromTriplets(rows, cols, std::move(trips));
+}
+
+/// Branches Xᵢ·Yᵢ of a stack (X: left posts × attributes, Y: attributes ×
+/// right posts).
+struct Branches {
+  std::vector<SparseMatrix> x, y;
+
+  /// One branch per attribute universe `attrs[i]`, each post carrying up
+  /// to `per_post` attributes of it.
+  static Branches Random(size_t left, size_t right,
+                         const std::vector<size_t>& attrs, size_t per_post,
+                         uint64_t seed) {
+    Branches b;
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      b.x.push_back(RandomCounts(left, attrs[i], per_post, seed + 2 * i));
+      b.y.push_back(Transpose(
+          RandomCounts(right, attrs[i], per_post, seed + 2 * i + 1)));
+    }
+    return b;
+  }
+
+  static std::vector<const SparseMatrix*> Ptrs(
+      const std::vector<SparseMatrix>& ms) {
+    std::vector<const SparseMatrix*> out;
+    for (const SparseMatrix& m : ms) out.push_back(&m);
+    return out;
+  }
+
+  SparseMatrix FaceSplit(ThreadPool* pool = nullptr) const {
+    return FaceSplitHadamard(Ptrs(x), Ptrs(y), pool);
+  }
+
+  /// The definition: every branch product in full, then a Hadamard fold.
+  SparseMatrix Reference() const {
+    SparseMatrix acc = SpGemm(x[0], y[0]);
+    for (size_t i = 1; i < x.size(); ++i) {
+      acc = Hadamard(acc, SpGemm(x[i], y[i]));
+    }
+    return acc;
+  }
+};
+
+TEST(FaceSplitHadamardTest, MatchesHadamardOfProductsBitwise) {
+  // One attribute per post (timestamps, locations) and several (words);
+  // RandomCounts leaves some posts without any, i.e. empty rows.
+  for (size_t per_post : {1u, 4u}) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      Branches b = Branches::Random(40, 35, {9, 6}, per_post,
+                                    100 * seed + per_post);
+      SCOPED_TRACE(testing::Message() << "per_post " << per_post << " seed "
+                                      << seed);
+      ExpectBitwiseEqual(b.FaceSplit(), b.Reference());
+    }
+  }
+}
+
+TEST(FaceSplitHadamardTest, ThreeBranchesAndOneBranch) {
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    Branches three = Branches::Random(30, 30, {5, 7, 4}, 3, 500 + seed);
+    ExpectBitwiseEqual(three.FaceSplit(), three.Reference());
+    Branches one = Branches::Random(30, 30, {6}, 3, 600 + seed);
+    ExpectBitwiseEqual(one.FaceSplit(), one.Reference());
+  }
+}
+
+TEST(FaceSplitHadamardTest, EmptyOperandsGiveEmptyResult) {
+  Branches b = Branches::Random(12, 9, {4, 5}, 2, 7);
+  b.x[1] = SparseMatrix(12, 5);
+  SparseMatrix out = b.FaceSplit();
+  EXPECT_EQ(out.rows(), 12u);
+  EXPECT_EQ(out.cols(), 9u);
+  EXPECT_EQ(out.nnz(), 0u);
+  ExpectBitwiseEqual(out, b.Reference());
+}
+
+TEST(FaceSplitHadamardTest, PooledMatchesSerial) {
+  ThreadPool pool(4);
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Branches b = Branches::Random(600, 500, {40, 60}, 3, 900 + seed);
+    SparseMatrix serial = b.FaceSplit();
+    ExpectBitwiseEqual(b.FaceSplit(&pool), serial);
+    ExpectBitwiseEqual(serial, b.Reference());
+  }
+}
+
+TEST(FaceSplitHadamardTest, AttributeUniversesBeyondThirtyTwoBits) {
+  // |T|·|L| = 10¹⁰ > 2³². With |L| = 100000, the naive 32-bit key
+  // t·|L| + l maps (42950, 0) and (0, 32704) to the same value
+  // (42950·100000 = 2³² + 32704), which would pair left post 0 with right
+  // post 1. The correct result keeps the two tuples apart.
+  const size_t kT = 100000, kL = 100000;
+  std::vector<Triplet> x1 = {{0, 42950, 1.0}, {1, 0, 1.0}};
+  std::vector<Triplet> x2 = {{0, 0, 1.0}, {1, 32704, 1.0}};
+  std::vector<Triplet> y1t = {{0, 42950, 1.0}, {1, 0, 1.0}};
+  std::vector<Triplet> y2t = {{0, 0, 1.0}, {1, 32704, 1.0}};
+  // Random posts on top, crowded into the universes' upper ends.
+  Rng rng(31);
+  for (uint32_t post = 2; post < 300; ++post) {
+    for (auto* side : {&x1, &x2, &y1t, &y2t}) {
+      const size_t universe = (side == &x1 || side == &y1t) ? kT : kL;
+      for (uint64_t t = rng.UniformInt(3); t > 0; --t) {
+        side->push_back({post,
+                         static_cast<uint32_t>(universe - 1 -
+                                               rng.UniformInt(50)),
+                         static_cast<double>(1 + rng.UniformInt(3))});
+      }
+    }
+  }
+  Branches b;
+  b.x = {SparseMatrix::FromTriplets(300, kT, x1),
+         SparseMatrix::FromTriplets(300, kL, x2)};
+  b.y = {Transpose(SparseMatrix::FromTriplets(300, kT, y1t)),
+         Transpose(SparseMatrix::FromTriplets(300, kL, y2t))};
+  SparseMatrix out = b.FaceSplit();
+  EXPECT_EQ(out.At(0, 0), 1.0);
+  EXPECT_EQ(out.At(1, 1), 1.0);
+  EXPECT_EQ(out.At(0, 1), 0.0);
+  EXPECT_EQ(out.At(1, 0), 0.0);
+  ExpectBitwiseEqual(out, b.Reference());
+}
+
 TEST(AddTest, MatchesDense) {
   SparseMatrix a = RandomSparse(4, 4, 0.4, 9);
   SparseMatrix b = RandomSparse(4, 4, 0.4, 10);

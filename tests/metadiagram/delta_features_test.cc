@@ -5,12 +5,15 @@
 #include "src/metadiagram/delta_features.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
+#include "src/eval/protocol.h"
+#include "src/serve/delta_stream.h"
 
 namespace activeiter {
 namespace {
@@ -278,6 +281,89 @@ TEST(DeltaFeatureTest, RemovedEdgesBitwiseMatchFullRebuild) {
   ExpectBitwiseEqual(restored, fresh.Extract(candidates));
   EXPECT_EQ(extractor.stats().refreshes, 3u);
   EXPECT_GT(extractor.stats().diagrams_reused, 0u);
+}
+
+/// FNV-1a over X's shape and the bit pattern of every entry, chained from
+/// `h` so a stream's epochs fold into one value.
+uint64_t FeatureFingerprint(const Matrix& x,
+                            uint64_t h = 1469598103934665603ULL) {
+  auto mix = [&h](uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  mix(x.rows());
+  mix(x.cols());
+  for (size_t i = 0; i < x.rows(); ++i) {
+    for (size_t j = 0; j < x.cols(); ++j) {
+      uint64_t bits;
+      const double v = x(i, j);
+      std::memcpy(&bits, &v, sizeof(bits));
+      mix(bits);
+    }
+  }
+  return h;
+}
+
+/// Fingerprint of the DeltaFeatureExtractor's X at every epoch of a carved
+/// stream (epoch 0 included), over every candidate revealed so far; each
+/// epoch is also checked against a fresh FeatureExtractor.
+uint64_t StreamFingerprint(double churn_fraction) {
+  auto full = AlignedNetworkGenerator(TinyPreset(19)).Generate();
+  EXPECT_TRUE(full.ok());
+  DeltaStreamOptions carve;
+  carve.num_batches = 6;
+  carve.np_ratio = 4.0;
+  carve.churn_fraction = churn_fraction;
+  carve.seed = 23;
+  auto stream = CarveDeltaStream(full.value(), carve);
+  EXPECT_TRUE(stream.ok());
+  AlignedPair& pair = stream.value().initial;
+  const std::vector<AnchorLink>& train = stream.value().train_anchors;
+  CandidateLinkSet candidates = stream.value().initial_candidates;
+  DeltaFeatureExtractor extractor(pair, train);
+  uint64_t h = FeatureFingerprint(extractor.Extract(candidates));
+  for (const ServeDelta& batch : stream.value().batches) {
+    EXPECT_TRUE(pair.ApplyDelta(batch.graph).ok());
+    extractor.NoteDelta(batch.graph);
+    for (const auto& [u1, u2] : batch.new_candidates) candidates.Add(u1, u2);
+    const Matrix x = extractor.Extract(candidates);
+    ExpectBitwiseEqual(x, FeatureExtractor(pair, train).Extract(candidates));
+    h = FeatureFingerprint(x, h);
+  }
+  return h;
+}
+
+TEST(DeltaFeatureTest, GoldenFeatureFingerprints) {
+  // Pins X end to end: one fixed fold through FeatureExtractor (with and
+  // without the word path), and the delta-aware engine at every epoch of a
+  // grow stream and a grow-shrink-grow stream. Any change to the catalog,
+  // the evaluator, the kernels or the splice path that moves one bit of X
+  // changes these constants.
+  auto pair = AlignedNetworkGenerator(TinyPreset(17)).Generate();
+  ASSERT_TRUE(pair.ok());
+  ProtocolConfig config;
+  config.np_ratio = 10.0;
+  config.num_folds = 5;
+  config.seed = 29;
+  auto protocol = Protocol::Create(pair.value(), config);
+  ASSERT_TRUE(protocol.ok());
+  const FoldData fold = protocol.value().MakeFold(0);
+  const uint64_t kFold = 5478536272332133241ULL;
+  const uint64_t kFoldWordPath = 3886403618885873307ULL;
+  const uint64_t kGrowStream = 7178679737612454952ULL;
+  const uint64_t kChurnStream = 14941874489934486002ULL;
+  EXPECT_EQ(FeatureFingerprint(FeatureExtractor(pair.value(),
+                                                fold.train_anchors)
+                                   .Extract(fold.candidates)),
+            kFold);
+  FeatureExtractorOptions word_path;
+  word_path.include_word_path = true;
+  EXPECT_EQ(FeatureFingerprint(FeatureExtractor(pair.value(),
+                                                fold.train_anchors, word_path)
+                                   .Extract(fold.candidates)),
+            kFoldWordPath);
+  EXPECT_EQ(StreamFingerprint(0.0), kGrowStream);
+  EXPECT_EQ(StreamFingerprint(0.3), kChurnStream);
 }
 
 TEST(DeltaFeatureTest, RefreshWithoutDeltaIsANoOp) {

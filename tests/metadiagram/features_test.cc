@@ -6,6 +6,7 @@
 
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
+#include "src/linalg/sparse_ops.h"
 #include "src/metadiagram/covering_set.h"
 
 namespace activeiter {
@@ -50,6 +51,96 @@ TEST(CatalogTest, SignaturesAreUnique) {
   std::set<std::string> sigs;
   for (const auto& d : catalog) sigs.insert(d.Signature());
   EXPECT_EQ(sigs.size(), catalog.size());
+}
+
+void AppendChainFactors(const ExprPtr& node, std::vector<ExprPtr>* out) {
+  if (node->kind() != DiagramNode::Kind::kChain) {
+    out->push_back(node);
+    return;
+  }
+  for (const ExprPtr& child : node->children()) AppendChainFactors(child, out);
+}
+
+/// A diagram's count matrix by its definition: a chain (nested chains
+/// flattened) is the left-to-right SpGemm of its factors, a parallel the
+/// Hadamard fold of its branches. No cache, no regrouping, no face
+/// splitting.
+SparseMatrix ReferenceCounts(const RelationContext& ctx, const ExprPtr& node) {
+  switch (node->kind()) {
+    case DiagramNode::Kind::kStep:
+      return ctx.Get(node->step());
+    case DiagramNode::Kind::kChain: {
+      std::vector<ExprPtr> factors;
+      AppendChainFactors(node, &factors);
+      SparseMatrix acc = ReferenceCounts(ctx, factors[0]);
+      for (size_t i = 1; i < factors.size(); ++i) {
+        acc = SpGemm(acc, ReferenceCounts(ctx, factors[i]));
+      }
+      return acc;
+    }
+    case DiagramNode::Kind::kParallel: {
+      SparseMatrix acc = ReferenceCounts(ctx, node->children()[0]);
+      for (size_t i = 1; i < node->children().size(); ++i) {
+        acc = Hadamard(acc, ReferenceCounts(ctx, node->children()[i]));
+      }
+      return acc;
+    }
+  }
+  return {};
+}
+
+bool BitwiseEqual(const SparseMatrix& a, const SparseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         a.row_ptr() == b.row_ptr() && a.col_idx() == b.col_idx() &&
+         a.values() == b.values();
+}
+
+TEST(CatalogDefinitionTest, EngineAndExtractMatchReferenceBitwise) {
+  for (uint64_t seed : {7u, 21u, 40u}) {
+    AlignedPair pair = TinyPair(seed);
+    std::vector<AnchorLink> train(pair.anchors().begin(),
+                                  pair.anchors().begin() + 12);
+    RelationContext ctx(pair, train);
+    CandidateLinkSet every_pair;
+    for (NodeId u1 = 0; u1 < pair.first().NodeCount(NodeType::kUser); ++u1) {
+      for (NodeId u2 = 0; u2 < pair.second().NodeCount(NodeType::kUser);
+           ++u2) {
+        every_pair.Add(u1, u2);
+      }
+    }
+    for (FeatureSet set :
+         {FeatureSet::kMetaPathOnly, FeatureSet::kMetaPathAndDiagram}) {
+      for (bool word_path : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " full "
+                     << (set == FeatureSet::kMetaPathAndDiagram)
+                     << " word path " << word_path);
+        FeatureExtractorOptions options;
+        options.feature_set = set;
+        options.include_word_path = word_path;
+        FeatureExtractor extractor(pair, train, options);
+        const Matrix x = extractor.Extract(every_pair);
+        DiagramEvaluator evaluator(&ctx);
+        const auto& catalog = extractor.catalog();
+        ASSERT_EQ(x.cols(), catalog.size() + 1);
+        for (size_t k = 0; k < catalog.size(); ++k) {
+          SparseMatrix reference = ReferenceCounts(ctx, catalog[k].root());
+          EXPECT_TRUE(BitwiseEqual(*evaluator.Evaluate(catalog[k]), reference))
+              << catalog[k].id();
+          const Vector column =
+              ProximityScores(std::move(reference)).ScoresFor(every_pair);
+          size_t mismatches = 0;
+          for (size_t i = 0; i < x.rows(); ++i) {
+            if (x(i, k) != column(i)) ++mismatches;
+          }
+          EXPECT_EQ(mismatches, 0u) << catalog[k].id();
+        }
+        for (size_t i = 0; i < x.rows(); ++i) {
+          ASSERT_EQ(x(i, catalog.size()), 1.0);
+        }
+      }
+    }
+  }
 }
 
 TEST(FeatureExtractorTest, MatrixShapeAndBias) {

@@ -6,13 +6,13 @@
 // Two modes:
 //   * default — Google Benchmark CLI (filters, repetitions, etc.);
 //   * --record=PATH — hand-timed record of the blocked-kernel speedups
-//     (rank-k absorb vs sequential rank-1s, rank-k downdate vs refactor,
-//     incremental SpGEMM vs full recompute with its measured crossover
-//     sweep, tiled dense Gram/solve), of the selection kernels (greedy
-//     selection and the conflict query round at 20,000 links) and of
-//     feature extraction (the offline fold's Extract and a bench-scale
-//     delta refresh), written as compact JSON. CI re-records it as
-//     BENCH_kernels.json; the committed copy is the PR's perf baseline.
+//     (incremental SpGEMM vs full recompute with its measured crossover
+//     sweep, tiled dense Gram/solve, and a serve shard's per-drain ridge
+//     refit), of the selection kernels (greedy selection and the conflict
+//     query round at 20,000 links) and of feature extraction (the offline
+//     fold's Extract and a bench-scale delta refresh), written as compact
+//     JSON. CI re-records it as BENCH_kernels.json; the committed copy is
+//     the PR's perf baseline.
 
 #include <algorithm>
 #include <cstdio>
@@ -174,38 +174,6 @@ BENCHMARK(BM_RidgePrepareOnce)
     ->Arg(32768)
     ->Unit(benchmark::kMillisecond);
 
-// One candidate row arriving online at |H| existing rows. The
-// refactor-per-delta engine redoes the O(|H|·d²) Gram product and the
-// O(d³) factorisation; the rank-1 path folds the row into the cached Gram
-// and factor with two O(d²) sweeps. Args are {rows, refactor}; the
-// refactor = 0 rows carry the online path, so the tracked JSON holds the
-// speedup directly (the acceptance bar is ≥5× at |H| = 8192).
-void BM_RankOneUpdateVsRefactor(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const bool refactor = state.range(1) != 0;
-  Matrix x = RidgeBenchDesign(rows, 30);
-  Matrix new_row = RidgeBenchDesign(1, 30);
-  RidgePrepared prepared = RidgePrepared::Create(x);
-  auto solver = prepared.SolverFor(1.0);
-  for (auto _ : state) {
-    if (refactor) {
-      RidgePrepared rebuilt = RidgePrepared::Create(x);
-      auto refactored = rebuilt.SolverFor(1.0);
-      benchmark::DoNotOptimize(refactored);
-    } else {
-      prepared.UpdateGram(new_row);
-      benchmark::DoNotOptimize(solver.value().AbsorbAppendedRows(new_row));
-    }
-  }
-}
-BENCHMARK(BM_RankOneUpdateVsRefactor)
-    ->ArgNames({"rows", "refactor"})
-    ->Args({8192, 0})
-    ->Args({8192, 1})
-    ->Args({32768, 0})
-    ->Args({32768, 1})
-    ->Unit(benchmark::kMicrosecond);
-
 // One "new user follows an old user" delta per iteration, served either by
 // the delta-aware engine (migrate clean intermediates, recompute only
 // follow-reachable products) or by a full from-scratch extraction. Both
@@ -254,7 +222,7 @@ BENCHMARK(BM_DeltaFeatureVsFullRebuild)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-/// Random SPD Gram-style matrix for the cholupdate benches.
+/// Random SPD Gram-style matrix for the dense solve record.
 Matrix BenchSpd(size_t d, uint64_t seed) {
   Rng rng(seed);
   Matrix b(d, d);
@@ -274,77 +242,6 @@ Matrix BenchPanel(size_t k, size_t d, uint64_t seed) {
   }
   return panel;
 }
-
-// One k-row panel absorbed into a d×d factor, either as one blocked
-// RankKUpdate sweep or as k sequential RankOneUpdates. Args {d, k,
-// blocked}; blocked = 0 rows carry the sequential baseline, so the
-// tracked JSON holds the speedup directly (bar: ≥4× at d=256, k=8).
-void BM_RankKUpdateVsSequential(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  const bool blocked = state.range(2) != 0;
-  auto factor = CholeskyFactor::Factor(BenchSpd(d, 41));
-  if (!factor.ok()) {
-    state.SkipWithError("factorisation failed");
-    return;
-  }
-  Matrix panel = BenchPanel(k, d, 42);
-  for (auto _ : state) {
-    if (blocked) {
-      benchmark::DoNotOptimize(factor.value().RankKUpdate(panel, 1.0));
-    } else {
-      for (size_t t = 0; t < k; ++t) {
-        benchmark::DoNotOptimize(
-            factor.value().RankOneUpdate(panel.Row(t), 1.0));
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(k));
-}
-BENCHMARK(BM_RankKUpdateVsSequential)
-    ->ArgNames({"d", "k", "blocked"})
-    ->Args({256, 8, 0})
-    ->Args({256, 8, 1})
-    ->Args({256, 32, 0})
-    ->Args({256, 32, 1})
-    ->Unit(benchmark::kMicrosecond);
-
-// The shrink-side twin of the absorb benches: a k-row panel LEAVING a d×d
-// factor, either through the blocked hyperbolic downdate or by
-// refactorising the shrunk Gram from scratch. The downdate rows alternate
-// +panel/−panel so the factor never drifts off its base matrix; the two
-// sweep directions cost identical arithmetic, so the per-iteration time IS
-// the per-panel downdate cost. refactor = 1 rows carry the rebuild
-// baseline, so the tracked JSON holds the speedup directly.
-void BM_DowndateVsRefactor(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  const bool refactor = state.range(2) != 0;
-  Matrix spd = BenchSpd(d, 51);
-  auto factor = CholeskyFactor::Factor(spd);
-  if (!factor.ok()) {
-    state.SkipWithError("factorisation failed");
-    return;
-  }
-  Matrix panel = BenchPanel(k, d, 52);
-  double sigma = 1.0;
-  for (auto _ : state) {
-    if (refactor) {
-      benchmark::DoNotOptimize(CholeskyFactor::Factor(spd));
-    } else {
-      benchmark::DoNotOptimize(factor.value().RankKUpdate(panel, sigma));
-      sigma = -sigma;
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(k));
-}
-BENCHMARK(BM_DowndateVsRefactor)
-    ->ArgNames({"d", "k", "refactor"})
-    ->Args({256, 8, 0})
-    ->Args({256, 8, 1})
-    ->Args({256, 32, 0})
-    ->Args({256, 32, 1})
-    ->Unit(benchmark::kMicrosecond);
 
 /// A mutated twin of `a`: `changed` random distinct rows each gain one
 /// extra entry. Returns the new matrix and the sorted changed-row list.
@@ -515,73 +412,6 @@ double TimeMs(size_t trials, size_t reps, Fn&& fn) {
   return best;
 }
 
-struct RankKRecord {
-  size_t d = 256;
-  size_t k = 8;
-  double sequential_ms = 0.0;
-  double blocked_ms = 0.0;
-  bool k1_bitwise = false;
-};
-
-RankKRecord RecordRankK() {
-  RankKRecord rec;
-  Matrix spd = BenchSpd(rec.d, 41);
-  Matrix panel = BenchPanel(rec.k, rec.d, 42);
-  auto seq = CholeskyFactor::Factor(spd);
-  auto blk = CholeskyFactor::Factor(spd);
-  // Both paths mutate their factor as real ingest does; the matrix only
-  // grows more positive definite, so timing stays representative.
-  rec.sequential_ms = TimeMs(5, 12, [&] {
-    for (size_t t = 0; t < rec.k; ++t) {
-      (void)seq.value().RankOneUpdate(panel.Row(t), 1.0);
-    }
-  });
-  rec.blocked_ms =
-      TimeMs(5, 12, [&] { (void)blk.value().RankKUpdate(panel, 1.0); });
-  // k = 1 bitwise contract, probed through LogDet.
-  auto one_a = CholeskyFactor::Factor(spd);
-  auto one_b = CholeskyFactor::Factor(spd);
-  Matrix row = BenchPanel(1, rec.d, 46);
-  (void)one_a.value().RankOneUpdate(row.Row(0), 1.0);
-  (void)one_b.value().RankKUpdate(row, 1.0);
-  rec.k1_bitwise = one_a.value().LogDet() == one_b.value().LogDet();
-  return rec;
-}
-
-struct DowndateRecord {
-  size_t d = 256;
-  size_t k = 8;
-  double refactor_ms = 0.0;
-  double downdate_ms = 0.0;
-  bool indefinite_rejected = false;
-};
-
-DowndateRecord RecordDowndate() {
-  DowndateRecord rec;
-  Matrix spd = BenchSpd(rec.d, 51);
-  Matrix panel = BenchPanel(rec.k, rec.d, 52);
-  auto factor = CholeskyFactor::Factor(spd);
-  rec.refactor_ms =
-      TimeMs(5, 12, [&] { (void)CholeskyFactor::Factor(spd); });
-  // +panel/−panel pairs keep the factor on its base matrix across reps;
-  // both sweep directions cost the same arithmetic, so half the pair time
-  // is the downdate cost.
-  const double pair_ms = TimeMs(5, 12, [&] {
-    (void)factor.value().RankKUpdate(panel, 1.0);
-    (void)factor.value().RankKUpdate(panel, -1.0);
-  });
-  rec.downdate_ms = pair_ms / 2.0;
-  // All-or-nothing contract: downdating mass that was never absorbed goes
-  // indefinite, fails, and leaves the factor untouched (LogDet probe).
-  const double logdet_before = factor.value().LogDet();
-  Matrix alien = BenchPanel(1, rec.d, 53);
-  for (size_t i = 0; i < rec.d; ++i) alien(0, i) *= 1.0e6;
-  rec.indefinite_rejected =
-      !factor.value().RankKUpdate(alien, -1.0).ok() &&
-      factor.value().LogDet() == logdet_before;
-  return rec;
-}
-
 struct SpliceRecord {
   double fraction = 0.0;
   size_t changed_rows = 0;
@@ -668,22 +498,6 @@ int RunRecord(const std::string& path) {
     return 1;
   }
 
-  RankKRecord rank_k = RecordRankK();
-  std::fprintf(stderr,
-               "rank-k   d=%zu k=%zu: sequential %.3f ms, blocked %.3f ms "
-               "(%.2fx, k1_bitwise=%d)\n",
-               rank_k.d, rank_k.k, rank_k.sequential_ms, rank_k.blocked_ms,
-               rank_k.sequential_ms / rank_k.blocked_ms, rank_k.k1_bitwise);
-
-  DowndateRecord downdate = RecordDowndate();
-  std::fprintf(stderr,
-               "downdate d=%zu k=%zu: refactor %.3f ms, downdate %.3f ms "
-               "(%.2fx, indefinite_rejected=%d)\n",
-               downdate.d, downdate.k, downdate.refactor_ms,
-               downdate.downdate_ms,
-               downdate.refactor_ms / downdate.downdate_ms,
-               downdate.indefinite_rejected);
-
   const size_t n = 4096;
   SparseMatrix a = RandomSparse(n, n, 16.0 / n, 43);
   SparseMatrix b = RandomSparse(n, n, 16.0 / n, 44);
@@ -721,9 +535,16 @@ int RunRecord(const std::string& path) {
   Matrix rhs = BenchPanel(128, 256, 49).Transpose();  // 256×128 RHS block
   const double solve_ms =
       TimeMs(5, 4, [&] { (void)factor.value().SolveMatrix(rhs); });
+  // A serve shard's per-drain refit at its operating point (~4,800 rows
+  // of d = 30): one Gram product plus one factorisation of I + cG.
+  Matrix shard_design = RidgeBenchDesign(4800, 30);
+  const double refit_ms = TimeMs(5, 20, [&] {
+    (void)RidgePrepared::Create(shard_design).SolverFor(1.0);
+  });
   std::fprintf(stderr,
-               "dense    gram 8192x30 %.3f ms, solve 256x128rhs %.3f ms\n",
-               gram_ms, solve_ms);
+               "dense    gram 8192x30 %.3f ms, solve 256x128rhs %.3f ms, "
+               "refit 4800x30 %.3f ms\n",
+               gram_ms, solve_ms, refit_ms);
 
   // Label inference and the conflict query round at 500 users per side.
   const size_t selection_users = 500;
@@ -752,21 +573,6 @@ int RunRecord(const std::string& path) {
 
   std::fprintf(out, "{\n  \"bench\": \"kernels\",\n");
   std::fprintf(out,
-               "  \"rank_k\": {\"d\": %zu, \"k\": %zu, \"sequential_ms\": "
-               "%.4f, \"blocked_ms\": %.4f, \"speedup\": %.2f, "
-               "\"k1_bitwise\": %s},\n",
-               rank_k.d, rank_k.k, rank_k.sequential_ms, rank_k.blocked_ms,
-               rank_k.sequential_ms / rank_k.blocked_ms,
-               rank_k.k1_bitwise ? "true" : "false");
-  std::fprintf(out,
-               "  \"downdate\": {\"d\": %zu, \"k\": %zu, \"refactor_ms\": "
-               "%.4f, \"downdate_ms\": %.4f, \"speedup\": %.2f, "
-               "\"indefinite_rejected\": %s},\n",
-               downdate.d, downdate.k, downdate.refactor_ms,
-               downdate.downdate_ms,
-               downdate.refactor_ms / downdate.downdate_ms,
-               downdate.indefinite_rejected ? "true" : "false");
-  std::fprintf(out,
                "  \"spgemm_row_update\": {\"n\": %zu, \"avg_degree\": 16, "
                "\"changed_fraction\": %.4f, \"changed_rows\": %zu, "
                "\"full_ms\": %.4f, \"incremental_ms\": %.4f, \"speedup\": "
@@ -790,8 +596,9 @@ int RunRecord(const std::string& path) {
   std::fprintf(out,
                "  \"dense\": {\"gram_rows\": 8192, \"gram_d\": 30, "
                "\"gram_ms\": %.4f, \"solve_dim\": 256, \"solve_nrhs\": 128, "
-               "\"solve_ms\": %.4f},\n",
-               gram_ms, solve_ms);
+               "\"solve_ms\": %.4f, \"refit_rows\": 4800, \"refit_ms\": "
+               "%.4f},\n",
+               gram_ms, solve_ms, refit_ms);
   std::fprintf(out,
                "  \"selection\": {\"users\": %zu, \"links\": %zu, "
                "\"greedy_ms\": %.4f, \"conflict_query_ms\": %.4f},\n",

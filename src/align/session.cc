@@ -14,7 +14,7 @@ Result<AlignmentSession> AlignmentSession::Create(const Matrix& x,
   auto solver = prepared->SolverFor(c);
   if (!solver.ok()) return solver.status();
   return AlignmentSession(&x, &index, std::move(prepared),
-                          std::move(solver).value(), /*exclusive=*/true);
+                          std::move(solver).value());
 }
 
 Result<AlignmentSession> AlignmentSession::CreateFromPrepared(
@@ -31,95 +31,7 @@ Result<AlignmentSession> AlignmentSession::CreateFromPrepared(
   if (!solver.ok()) return solver.status();
   const Matrix* x = &prepared->x();
   return AlignmentSession(x, &index, std::move(prepared),
-                          std::move(solver).value(), /*exclusive=*/false);
-}
-
-Status AlignmentSession::AbsorbAppendedRows(size_t first_new_row) {
-  if (!exclusive_) {
-    return Status::FailedPrecondition(
-        "cannot grow a session whose prepared state is shared");
-  }
-  if (first_new_row > x_->rows() || first_new_row != pinned_.size()) {
-    return Status::InvalidArgument(
-        "appended-row range does not extend the session");
-  }
-  if (index_->candidate_count() != x_->rows()) {
-    return Status::FailedPrecondition(
-        "sync the incidence index before absorbing appended rows");
-  }
-  const size_t count = x_->rows() - first_new_row;
-  Matrix new_rows(count, x_->cols());
-  for (size_t r = 0; r < count; ++r) {
-    const double* src = x_->row_data(first_new_row + r);
-    for (size_t j = 0; j < x_->cols(); ++j) new_rows(r, j) = src[j];
-  }
-  prepared_->UpdateGram(new_rows);
-  ACTIVEITER_RETURN_IF_ERROR(solver_.AbsorbAppendedRows(new_rows));
-  pinned_.resize(x_->rows(), Pin::kFree);
-  return Status::OK();
-}
-
-Status AlignmentSession::AbsorbRemovedRows(
-    const std::vector<size_t>& sorted_ids) {
-  if (!exclusive_) {
-    return Status::FailedPrecondition(
-        "cannot shrink a session whose prepared state is shared");
-  }
-  if (sorted_ids.empty()) return Status::OK();
-  for (size_t i = 0; i < sorted_ids.size(); ++i) {
-    if (sorted_ids[i] >= x_->rows() ||
-        (i > 0 && sorted_ids[i] <= sorted_ids[i - 1])) {
-      return Status::InvalidArgument(
-          "removed row ids must be strictly increasing and in range");
-    }
-  }
-  if (pinned_.size() != x_->rows()) {
-    return Status::FailedPrecondition(
-        "session pin state out of sync with the design matrix");
-  }
-  const size_t d = x_->cols();
-  Matrix removed(sorted_ids.size(), d);
-  for (size_t r = 0; r < sorted_ids.size(); ++r) {
-    const double* src = x_->row_data(sorted_ids[r]);
-    for (size_t j = 0; j < d; ++j) removed(r, j) = src[j];
-  }
-  // The Gram downdate is exact bookkeeping (G −= RᵀR) and cannot fail;
-  // doing it first means the refactorisation fallback below factors the
-  // correct post-removal system I + c·G', which is SPD by construction.
-  prepared_->DowndateGram(removed);
-  Status downdated = solver_.AbsorbRemovedRows(removed);
-  if (!downdated.ok()) {
-    // Indefinite breakdown: one counted refactor from the downdated Gram.
-    auto refactored = prepared_->SolverFor(solver_.c());
-    if (!refactored.ok()) return refactored.status();
-    solver_ = std::move(refactored).value();
-  }
-  // Erase pins at the removed ids, compacting survivors in order.
-  size_t next_removed = 0;
-  size_t write = 0;
-  for (size_t i = 0; i < pinned_.size(); ++i) {
-    if (next_removed < sorted_ids.size() && sorted_ids[next_removed] == i) {
-      ++next_removed;
-      continue;
-    }
-    pinned_[write++] = pinned_[i];
-  }
-  pinned_.resize(write);
-  return Status::OK();
-}
-
-Status AlignmentSession::AbsorbReplacedRow(size_t row,
-                                           const Vector& old_row) {
-  if (!exclusive_) {
-    return Status::FailedPrecondition(
-        "cannot mutate a session whose prepared state is shared");
-  }
-  if (row >= x_->rows()) {
-    return Status::InvalidArgument("replaced row out of range");
-  }
-  Vector new_row = x_->Row(row);
-  prepared_->UpdateGramForReplacedRow(old_row, new_row);
-  return solver_.AbsorbReplacedRow(old_row, new_row);
+                          std::move(solver).value());
 }
 
 void AlignmentSession::ResetPins(std::vector<Pin> pinned) {

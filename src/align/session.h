@@ -37,17 +37,18 @@ class ThreadPool;
 class AlignmentSession {
  public:
   /// Builds the session: one Gram product (pool-parallel when `pool` is
-  /// given) and one Cholesky factorisation of I + cXᵀX. Pins start kFree.
-  /// The prepared state is exclusively owned, so the session may grow.
+  /// given, bitwise-equal to serial) and one Cholesky factorisation of
+  /// I + cXᵀX. Pins start kFree. A changed design matrix needs a new
+  /// session: the serve layer re-creates its session once per drain, so a
+  /// served model is always exactly what this call forms from scratch.
   static Result<AlignmentSession> Create(const Matrix& x,
                                          const IncidenceIndex& index,
                                          double c,
                                          ThreadPool* pool = nullptr);
 
   /// Derives a session from an existing prepared Gram: one Cholesky
-  /// factorisation, zero passes over X. Sessions sharing a prepared state
-  /// (e.g. a fold's sessions that differ only in c) may not grow — the
-  /// Gram is shared.
+  /// factorisation, zero passes over X (e.g. a fold's sessions that differ
+  /// only in c share one Gram).
   static Result<AlignmentSession> CreateFromPrepared(
       std::shared_ptr<RidgePrepared> prepared, const IncidenceIndex& index,
       double c);
@@ -75,49 +76,20 @@ class AlignmentSession {
   /// Pins one link (query answers during the active loop).
   void SetPin(size_t link_id, Pin pin);
 
-  // --- online growth (sessions with an exclusively owned prepared state;
-  //     the streaming-ingest path) ---
-
-  /// Absorbs candidate rows [first_new_row, x().rows()) appended to the
-  /// (caller-owned) design matrix after the index was synced to match:
-  /// folds them into the Gram, rank-1 updates the factor (one O(d²)
-  /// update per row — zero refactorisations), appends kFree pins.
-  Status AbsorbAppendedRows(size_t first_new_row);
-
-  /// Absorbs an in-place overwrite of design row `row` (the caller passes
-  /// the values the row held before the overwrite): replaces its Gram
-  /// contribution and applies a rank-1 update/downdate pair. The pin is
-  /// untouched — only the features changed, not the label state.
-  Status AbsorbReplacedRow(size_t row, const Vector& old_row);
-
-  /// Absorbs the REMOVAL of design rows `sorted_ids` (strictly increasing)
-  /// while they are still present in the design matrix: gathers their
-  /// values, downdates the Gram, and applies one blocked rank-k downdate
-  /// to the factor. When the downdate goes numerically indefinite the
-  /// factor falls back to ONE counted refactorisation from the (exactly
-  /// maintained) downdated Gram — the only refactor the shrink path can
-  /// ever cost. Pins at the removed ids are erased. The caller must
-  /// immediately afterwards compact the design matrix (Matrix::RemoveRows)
-  /// and the candidate set/index — this call leaves the session expecting
-  /// x().rows() to shrink by sorted_ids.size().
-  Status AbsorbRemovedRows(const std::vector<size_t>& sorted_ids);
-
  private:
   AlignmentSession(const Matrix* x, const IncidenceIndex* index,
                    std::shared_ptr<RidgePrepared> prepared,
-                   RidgeSolver solver, bool exclusive)
+                   RidgeSolver solver)
       : x_(x),
         index_(index),
         prepared_(std::move(prepared)),
         solver_(std::move(solver)),
-        exclusive_(exclusive),
         pinned_(x->rows(), Pin::kFree) {}
 
   const Matrix* x_;
   const IncidenceIndex* index_;
   std::shared_ptr<RidgePrepared> prepared_;  // shared across same-Gram peers
   RidgeSolver solver_;
-  bool exclusive_;  // true iff prepared_ is this session's alone (may grow)
   std::vector<Pin> pinned_;
 };
 

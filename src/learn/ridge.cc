@@ -17,67 +17,6 @@ Result<RidgeSolver> RidgePrepared::SolverFor(double c) const {
   return RidgeSolver(x_, c, std::move(factor).value());
 }
 
-Status RidgePrepared::AppendRows(Matrix* x, const Matrix& new_rows) {
-  if (x != x_) {
-    return Status::InvalidArgument(
-        "AppendRows must target the design matrix this state was "
-        "prepared over");
-  }
-  if (new_rows.rows() > 0 && new_rows.cols() != x->cols()) {
-    return Status::InvalidArgument("appended rows have the wrong width");
-  }
-  x->AppendRows(new_rows);
-  UpdateGram(new_rows);
-  return Status::OK();
-}
-
-void RidgePrepared::UpdateGram(const Matrix& new_rows) {
-  const size_t d = gram_.rows();
-  ACTIVEITER_CHECK_MSG(new_rows.rows() == 0 || new_rows.cols() == d,
-                       "UpdateGram row width mismatch");
-  // One blocked pass over the k×d panel: each Gram row is loaded once and
-  // the k new rows fold into it with a contiguous axpy per row. Per entry
-  // (i, j) the rows still accumulate one at a time in ascending row order,
-  // so the incremental Gram stays bitwise-equal to the row-at-a-time
-  // update (and hence to a from-scratch x().Gram() rebuild).
-  for (size_t i = 0; i < d; ++i) {
-    double* g = gram_.row_data(i);
-    for (size_t r = 0; r < new_rows.rows(); ++r) {
-      const double* row = new_rows.row_data(r);
-      const double ri = row[i];
-      for (size_t j = 0; j < d; ++j) g[j] += ri * row[j];
-    }
-  }
-}
-
-void RidgePrepared::DowndateGram(const Matrix& removed_rows) {
-  const size_t d = gram_.rows();
-  ACTIVEITER_CHECK_MSG(removed_rows.rows() == 0 || removed_rows.cols() == d,
-                       "DowndateGram row width mismatch");
-  // Mirror of UpdateGram's blocked pass with subtraction: per entry the
-  // removed rows leave one at a time in ascending row order.
-  for (size_t i = 0; i < d; ++i) {
-    double* g = gram_.row_data(i);
-    for (size_t r = 0; r < removed_rows.rows(); ++r) {
-      const double* row = removed_rows.row_data(r);
-      const double ri = row[i];
-      for (size_t j = 0; j < d; ++j) g[j] -= ri * row[j];
-    }
-  }
-}
-
-void RidgePrepared::UpdateGramForReplacedRow(const Vector& old_row,
-                                             const Vector& new_row) {
-  const size_t d = gram_.rows();
-  ACTIVEITER_CHECK_MSG(old_row.size() == d && new_row.size() == d,
-                       "replaced row width mismatch");
-  for (size_t i = 0; i < d; ++i) {
-    for (size_t j = 0; j < d; ++j) {
-      gram_(i, j) += new_row(i) * new_row(j) - old_row(i) * old_row(j);
-    }
-  }
-}
-
 Result<RidgeSolver> RidgeSolver::Create(const Matrix& x, double c,
                                         ThreadPool* pool) {
   if (c <= 0.0) {
@@ -95,37 +34,6 @@ Vector RidgeSolver::Solve(const Vector& y) const {
 }
 
 Vector RidgeSolver::Predict(const Vector& w) const { return x_->MatVec(w); }
-
-Status RidgeSolver::AbsorbAppendedRows(const Matrix& new_rows) {
-  if (new_rows.rows() > 0 && new_rows.cols() != factor_.dim()) {
-    return Status::InvalidArgument("absorbed rows have the wrong width");
-  }
-  // One blocked rank-k sweep over the whole panel — bitwise-equal to a
-  // rank-1 update per row, but the factor is copied and traversed once per
-  // delta instead of once per appended row.
-  return factor_.RankKUpdate(new_rows, c_);
-}
-
-Status RidgeSolver::AbsorbRemovedRows(const Matrix& removed_rows) {
-  if (removed_rows.rows() > 0 && removed_rows.cols() != factor_.dim()) {
-    return Status::InvalidArgument("removed rows have the wrong width");
-  }
-  // One blocked rank-k downdate sweep; RankKUpdate is all-or-nothing, so
-  // an indefinite breakdown leaves the factor intact for the caller's
-  // refactorisation fallback.
-  return factor_.RankKUpdate(removed_rows, -c_);
-}
-
-Status RidgeSolver::AbsorbReplacedRow(const Vector& old_row,
-                                      const Vector& new_row) {
-  if (old_row.size() != factor_.dim() || new_row.size() != factor_.dim()) {
-    return Status::InvalidArgument("absorbed row width mismatch");
-  }
-  // Update before downdate: the intermediate I + c(XᵀX + newᵀnew) is
-  // unconditionally SPD, so only genuine numerical breakdown can fail.
-  ACTIVEITER_RETURN_IF_ERROR(factor_.RankOneUpdate(new_row, c_));
-  return factor_.RankOneUpdate(old_row, -c_);
-}
 
 Result<Vector> FitRidge(const Matrix& x, const Vector& y, double c) {
   auto solver = RidgeSolver::Create(x, c);

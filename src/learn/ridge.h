@@ -15,7 +15,9 @@
 //                    vectors.
 //
 // RidgeSolver::Create keeps the original one-shot API as a thin wrapper
-// over the two-step path.
+// over the two-step path. Neither half is updated in place: a changed
+// design matrix gets a new RidgePrepared (the serve layer refits once per
+// drain), so G and its factor are always exactly what a fresh build forms.
 
 #ifndef ACTIVEITER_LEARN_RIDGE_H_
 #define ACTIVEITER_LEARN_RIDGE_H_
@@ -48,32 +50,6 @@ class RidgeSolver {
   /// Scores ŷ = X w for the design matrix this solver was built from.
   Vector Predict(const Vector& w) const;
 
-  /// Folds design rows appended after creation into the cached factor:
-  /// the k-row block adds c·RᵀR to I + cXᵀX via one blocked rank-k
-  /// cholupdate sweep over the whole panel (bitwise-equal to the rank-1
-  /// update for k = 1, 1-ulp-per-rotation for larger blocks; one factor
-  /// traversal instead of k) — no refactorisation, no pass over X. Call
-  /// after the rows were appended to the design matrix (and UpdateGram was
-  /// told about them).
-  Status AbsorbAppendedRows(const Matrix& new_rows);
-
-  /// Folds an in-place overwrite of one design row into the factor: one
-  /// rank-1 update for the new values, one downdate for the old. The
-  /// downdate cannot leave the system indefinite mathematically (the
-  /// result is I + c·Σrᵀr over the remaining rows); a failure here means
-  /// numerical breakdown and is surfaced.
-  Status AbsorbReplacedRow(const Vector& old_row, const Vector& new_row);
-
-  /// Folds the removal of design rows into the cached factor: the k-row
-  /// panel subtracts c·RᵀR from I + cXᵀX via one blocked rank-k DOWNDATE
-  /// sweep (sigma = −c), all-or-nothing — on an indefinite breakdown the
-  /// factor is untouched and the error surfaces so the caller can fall
-  /// back to one counted refactorisation. Pass the removed rows' values as
-  /// gathered BEFORE they left the design matrix. Mathematically the
-  /// result I + c·Σrᵀr over the surviving rows is SPD, so failure is
-  /// numerical cancellation only (ill-conditioned removed rows).
-  Status AbsorbRemovedRows(const Matrix& removed_rows);
-
   double c() const { return c_; }
   size_t num_rows() const { return x_->rows(); }
   size_t num_features() const { return x_->cols(); }
@@ -102,27 +78,6 @@ class RidgePrepared {
   /// Derives the per-c solver: factors I + c·XᵀX from the cached Gram.
   /// One Cholesky factorisation, zero passes over X.
   Result<RidgeSolver> SolverFor(double c) const;
-
-  /// Appends `new_rows` to the design matrix and folds them into the
-  /// cached Gram in O(k·d²) — no O(|H|·d²) rebuild. `x` must be the matrix
-  /// this state was created over (checked): the caller owns the design
-  /// matrix mutably, the prepared state only views it.
-  Status AppendRows(Matrix* x, const Matrix& new_rows);
-
-  /// Folds already-appended design rows into the cached Gram:
-  /// G += new_rowsᵀ·new_rows. gram() matches x().Gram() again afterwards.
-  void UpdateGram(const Matrix& new_rows);
-
-  /// Replaces one row's Gram contribution: G += newᵀnew − oldᵀold. Call
-  /// after overwriting the row in the design matrix.
-  void UpdateGramForReplacedRow(const Vector& old_row, const Vector& new_row);
-
-  /// Subtracts removed rows' Gram contribution: G −= removedᵀ·removed,
-  /// mirroring UpdateGram's blocked loop (ascending-row, per-entry) with
-  /// subtraction. Call with the rows' values as gathered before removal.
-  /// Note += then −= of the same row is one rounding away from a no-op, so
-  /// a churned Gram is ulp-close — not bitwise-equal — to a fresh rebuild.
-  void DowndateGram(const Matrix& removed_rows);
 
   const Matrix& x() const { return *x_; }
   const Matrix& gram() const { return gram_; }

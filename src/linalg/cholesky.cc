@@ -18,35 +18,9 @@ Counter& FactorCounter() {
   return *counter;
 }
 
-Counter& RankOneCounter() {
-  static Counter* counter = MetricsRegistry::Default().GetCounter(
-      "linalg.cholesky.rank_one_updates");
-  return *counter;
-}
-
-Counter& RankKPanelCounter() {
-  static Counter* counter = MetricsRegistry::Default().GetCounter(
-      "linalg.cholesky.rank_k_panels");
-  return *counter;
-}
-
-Counter& RankOneDowndateCounter() {
-  static Counter* counter = MetricsRegistry::Default().GetCounter(
-      "linalg.cholesky.rank_one_downdates");
-  return *counter;
-}
-
 }  // namespace
 
 uint64_t CholeskyFactor::TotalFactorCount() { return FactorCounter().value(); }
-
-uint64_t CholeskyFactor::TotalRankOneUpdateCount() {
-  return RankOneCounter().value();
-}
-
-uint64_t CholeskyFactor::TotalRankOneDowndateCount() {
-  return RankOneDowndateCounter().value();
-}
 
 Result<CholeskyFactor> CholeskyFactor::Factor(const Matrix& a) {
   if (a.rows() != a.cols()) {
@@ -135,133 +109,6 @@ Matrix CholeskyFactor::SolveMatrix(const Matrix& b) const {
     }
   }
   return x;
-}
-
-Status CholeskyFactor::RankOneUpdate(const Vector& v, double sigma) {
-  const size_t n = dim();
-  if (v.size() != n) {
-    return Status::InvalidArgument("rank-1 update vector size mismatch");
-  }
-  if (sigma == 0.0) return Status::OK();
-  const double sign = sigma > 0.0 ? 1.0 : -1.0;
-  const double scale = std::sqrt(std::abs(sigma));
-  std::vector<double> w(n);
-  for (size_t i = 0; i < n; ++i) w[i] = scale * v(i);
-  // Column-by-column Givens-style sweep (the cholupdate recurrence): each
-  // column k absorbs w(k) into the new diagonal r and rotates the residual
-  // w so the remaining submatrix sees the remaining rank-1 piece. Work on a
-  // copy so a failed downdate leaves the factor intact.
-  Matrix l = l_;
-  for (size_t k = 0; k < n; ++k) {
-    const double lkk = l(k, k);
-    const double wk = w[k];
-    const double r2 = lkk * lkk + sign * wk * wk;
-    if (r2 <= 0.0 || !std::isfinite(r2)) {
-      return Status::InvalidArgument(
-          "rank-1 downdate would make the matrix indefinite");
-    }
-    const double r = std::sqrt(r2);
-    const double c = r / lkk;
-    const double s = wk / lkk;
-    l(k, k) = r;
-    for (size_t i = k + 1; i < n; ++i) {
-      const double lik = l(i, k);
-      l(i, k) = (lik + sign * s * w[i]) / c;
-      w[i] = (w[i] - s * lik) / c;
-    }
-  }
-  l_ = std::move(l);
-  RankOneCounter().Increment();
-  if (sign < 0.0) RankOneDowndateCounter().Increment();
-  return Status::OK();
-}
-
-Status CholeskyFactor::RankKUpdate(const Matrix& panel, double sigma) {
-  const size_t n = dim();
-  const size_t k = panel.rows();
-  if (k > 0 && panel.cols() != n) {
-    return Status::InvalidArgument("rank-k update panel width mismatch");
-  }
-  if (k == 0 || sigma == 0.0) return Status::OK();
-  const double sign = sigma > 0.0 ? 1.0 : -1.0;
-  const double scale = std::sqrt(std::abs(sigma));
-  // The k rank-1 sweeps are interleaved column-by-column: rotation t at
-  // column j only modifies column j of L and panel vector t, and its
-  // coefficients depend only on the diagonal after rotations 0..t-1 of the
-  // same column and on w_t(j) after vector t's rotations at columns < j —
-  // all already final here. Applying rotations 0..k-1 to each element in
-  // ascending t order therefore reproduces the k sequential sweeps, while
-  // L is copied once and every element below the diagonal is loaded/stored
-  // once per panel instead of once per row.
-  //
-  // For k == 1 the arithmetic below is exactly RankOneUpdate's (divide
-  // form): bitwise-identical results. For k > 1 the per-element divides by
-  // c[t] — which throttle the sequential path on the divider unit — are
-  // replaced by multiplication with a hoisted reciprocal, so each element
-  // differs from the sequential sweep by at most one rounding per rotation
-  // (the 1-ulp-per-step contract).
-  //
-  // w is kept n×k (transposed) so the per-element rotation loop over t is
-  // contiguous.
-  std::vector<double> w(n * k);
-  for (size_t t = 0; t < k; ++t) {
-    const double* row = panel.row_data(t);
-    for (size_t i = 0; i < n; ++i) w[i * k + t] = scale * row[i];
-  }
-  Matrix l = l_;
-  std::vector<double> c(k), s(k), ss(k), inv_c(k);
-  for (size_t j = 0; j < n; ++j) {
-    // Coefficient pass: the k rotations of column j, off the diagonal only.
-    double ljj = l(j, j);
-    double* wj = &w[j * k];
-    for (size_t t = 0; t < k; ++t) {
-      const double wt = wj[t];
-      const double r2 = ljj * ljj + sign * wt * wt;
-      if (r2 <= 0.0 || !std::isfinite(r2)) {
-        return Status::InvalidArgument(
-            "rank-k downdate would make the matrix indefinite");
-      }
-      const double r = std::sqrt(r2);
-      c[t] = r / ljj;
-      s[t] = wt / ljj;
-      ss[t] = sign * s[t];
-      inv_c[t] = 1.0 / c[t];
-      ljj = r;
-    }
-    l(j, j) = ljj;
-    double* l_col = l.row_data(0) + j;  // column j, walked via stride n
-    if (k == 1) {
-      const double s0 = s[0], ss0 = ss[0], c0 = c[0];
-      for (size_t i = j + 1; i < n; ++i) {
-        const double lij = l_col[i * n];
-        double* wi = &w[i];
-        l_col[i * n] = (lij + ss0 * wi[0]) / c0;
-        wi[0] = (wi[0] - s0 * lij) / c0;
-      }
-    } else {
-      for (size_t i = j + 1; i < n; ++i) {
-        double lij = l_col[i * n];
-        double* wi = &w[i * k];
-        for (size_t t = 0; t < k; ++t) {
-          const double prev = lij;
-          lij = (prev + ss[t] * wi[t]) * inv_c[t];
-          wi[t] = (wi[t] - s[t] * prev) * inv_c[t];
-        }
-        l_col[i * n] = lij;
-      }
-    }
-  }
-  l_ = std::move(l);
-  RankOneCounter().Add(k);  // a panel still counts as its k directions
-  if (sign < 0.0) RankOneDowndateCounter().Add(k);
-  RankKPanelCounter().Increment();
-  return Status::OK();
-}
-
-double CholeskyFactor::LogDet() const {
-  double acc = 0.0;
-  for (size_t i = 0; i < dim(); ++i) acc += std::log(l_(i, i));
-  return 2.0 * acc;
 }
 
 Result<Vector> SolveSpd(const Matrix& a, const Vector& b) {

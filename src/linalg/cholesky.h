@@ -3,8 +3,8 @@
 // Ridge regression (paper §III-D, internal step 1-1) needs
 //   w = c (I + c XᵀX)⁻¹ Xᵀ y,
 // i.e. the solution of an SPD system whose dimension is the feature count
-// (≈32). A plain LLᵀ factorisation is exact, stable for λ > 0, and trivial
-// at this size.
+// (≈30). A plain LLᵀ factorisation is exact, stable for λ > 0, and trivial
+// at this size — cheap enough that the serve layer refactors once per drain.
 
 #ifndef ACTIVEITER_LINALG_CHOLESKY_H_
 #define ACTIVEITER_LINALG_CHOLESKY_H_
@@ -38,49 +38,15 @@ class CholeskyFactor {
   /// result is bitwise-equal to solving column-by-column.
   Matrix SolveMatrix(const Matrix& b) const;
 
-  /// log(det(A)) = 2·Σ log L_ii; used by tests as a factorisation probe.
-  double LogDet() const;
-
-  /// Rank-1 update of the factorisation in place: after the call this
-  /// factors A + sigma·v·vᵀ (update for sigma > 0, downdate for sigma < 0).
-  /// O(dim²) — the online-ingest alternative to an O(dim³) refactorisation
-  /// when a design-matrix row arrives (sigma = c) or is replaced (an
-  /// update/downdate pair). Fails with InvalidArgument on a dimension
-  /// mismatch or when a downdate would leave the matrix indefinite; the
-  /// factor is untouched on failure.
-  Status RankOneUpdate(const Vector& v, double sigma = 1.0);
-
-  /// Blocked rank-k update: after the call this factors A + sigma·PᵀP for
-  /// the k×dim panel P (row r of the panel is one rank-1 direction),
-  /// equivalent to k sequential RankOneUpdate(P.Row(r), sigma) calls. The
-  /// k rotation sweeps are interleaved column-by-column — a rotation at
-  /// column j only touches column j of L and its own panel vector — so the
-  /// factor is copied once instead of k times and each L element is loaded
-  /// and stored once per panel instead of once per row. For k == 1 the
-  /// result is BITWISE-equal to RankOneUpdate; for k > 1 the per-element
-  /// divides become hoisted-reciprocal multiplies (they would otherwise
-  /// saturate the divider unit exactly like the sequential path), bounding
-  /// the divergence to one extra rounding per rotation applied — the
-  /// 1-ulp-per-step contract pinned by the tests. All-or-nothing on
-  /// failure (dimension mismatch or an indefinite downdate), and counts k
-  /// towards TotalRankOneUpdateCount().
-  Status RankKUpdate(const Matrix& panel, double sigma = 1.0);
-
   /// Process-wide count of successful factorisations (relaxed atomic).
   /// Tests diff this around a code path to pin down exactly how many
-  /// factorisations it performed (the AlignmentSession reuse guarantee).
-  /// RankOneUpdate does NOT count — the online-serving test proves its
-  /// zero-refactorisation claim by diffing this around the ingest loop.
+  /// factorisations it performed (the AlignmentSession reuse guarantee and
+  /// the serve layer's one refit per shard per published epoch).
   static uint64_t TotalFactorCount();
 
-  /// Process-wide count of successful rank-1 updates (relaxed atomic).
-  static uint64_t TotalRankOneUpdateCount();
-
-  /// Process-wide count of successful rank-1 DOWNDATES (sigma < 0),
-  /// counted per direction — a rank-k downdate panel adds k. A subset of
-  /// TotalRankOneUpdateCount; tests diff it to prove the shrink path ran
-  /// through the downdate and not a refactorisation.
-  static uint64_t TotalRankOneDowndateCount();
+  /// Always 0: factors are never updated in place. Kept for callers that
+  /// still report the count.
+  static uint64_t TotalRankOneUpdateCount() { return 0; }
 
   size_t dim() const { return l_.rows(); }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "src/linalg/cholesky.h"
-
 namespace activeiter {
 namespace {
 
@@ -107,7 +105,6 @@ IngestStats& IngestStats::operator+=(const IngestStats& other) {
   rows_appended += other.rows_appended;
   rows_replaced += other.rows_replaced;
   rows_removed += other.rows_removed;
-  rank_one_updates += other.rank_one_updates;
   full_factorisations += other.full_factorisations;
   pipeline_stalls += other.pipeline_stalls;
   max_inflight_planes = std::max(max_inflight_planes,
@@ -159,42 +156,46 @@ ModelShard::ModelShard(CandidateLinkSet candidates,
 Status ModelShard::Start(FeaturePlane& plane) {
   if (started_) return Status::FailedPrecondition("already started");
   TraceSpan span(options_.obs.tracer, "ingest.start");
-  const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
   x_ = plane.Extract(candidates_);
   index_ = std::make_unique<IncidenceIndex>(plane.pair(), candidates_);
-  auto session = AlignmentSession::Create(x_, *index_,
-                                          options_.serve.ridge_c,
-                                          options_.serve.features.pool);
-  if (!session.ok()) return session.status();
-  session_ =
-      std::make_unique<AlignmentSession>(std::move(session).value());
-  // Pin the labeled positives L+: candidates that ARE a train anchor.
+  pins_.assign(candidates_.size(), Pin::kFree);
+  PinLabeled(plane, 0);
+  ACTIVEITER_RETURN_IF_ERROR(Publish());
+  started_ = true;
+  return Status::OK();
+}
+
+void ModelShard::PinLabeled(const FeaturePlane& plane, size_t first) {
   std::unordered_set<uint64_t> labeled;
   labeled.reserve(plane.train_anchors().size() * 2);
   for (const AnchorLink& a : plane.train_anchors()) {
     labeled.insert((static_cast<uint64_t>(a.u1) << 32) | a.u2);
   }
-  for (size_t id = 0; id < candidates_.size(); ++id) {
+  for (size_t id = first; id < candidates_.size(); ++id) {
     const auto& [u1, u2] = candidates_.link(id);
     if (labeled.count((static_cast<uint64_t>(u1) << 32) | u2) != 0) {
-      session_->SetPin(id, Pin::kPositive);
+      pins_[id] = Pin::kPositive;
     }
   }
-  started_ = true;
-  Status published = Publish();
-  if (!published.ok()) return published;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.full_factorisations +=
-        CholeskyFactor::TotalFactorCount() - factors_before;
-  }
-  return Status::OK();
 }
 
 Status ModelShard::Publish() {
+  // The refit forms G = XᵀX and L = chol(I + cG) exactly as a fresh batch
+  // build does (serially: the shards already run in parallel), so the
+  // served model is bitwise a fresh build's.
+  auto session = [&] {
+    TraceSpan span(options_.obs.tracer, "ingest.refit");
+    return AlignmentSession::Create(x_, *index_, options_.serve.ridge_c);
+  }();
+  if (!session.ok()) return session.status();
+  session.value().ResetPins(pins_);
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.full_factorisations;
+  }
   auto result = [&] {
     TraceSpan span(options_.obs.tracer, "ingest.realign");
-    return aligner_.Align(*session_);
+    return aligner_.Align(session.value());
   }();
   if (!result.ok()) return result.status();
   AlignmentResult& r = result.value();
@@ -216,12 +217,6 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
                               size_t submitted_batches) {
   if (!started_) return Status::FailedPrecondition("Start() first");
   TraceSpan slice_span(options_.obs.tracer, "ingest.apply_slice");
-  // The global Cholesky counters are windowed per call; when shards of
-  // one drain run concurrently the rank-1 window may include siblings'
-  // updates, so rank_one_updates is exact in deterministic (ApplyOnce)
-  // runs and an upper bound under shard-parallel ingest.
-  const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
-  const uint64_t rank1_before = CholeskyFactor::TotalRankOneUpdateCount();
 
   // Global link ids are internal plumbing (assigned by the shard layer),
   // so malformed ids are a programming error, not a Status.
@@ -236,10 +231,8 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
   }
 
   // Withdrawn candidates leave FIRST, so the replace/append passes below
-  // see the compacted slice. The epoch's removals coalesce into one
-  // blocked rank-k downdate (plus an exact Gram downdate); only a
-  // numerically indefinite downdate falls back to a single counted
-  // refactorisation inside AbsorbRemovedRows.
+  // see the compacted slice: their rows, index entries, global ids and
+  // pins compact out together.
   size_t removed_count = 0;
   if (!slice.removed_candidates.empty()) {
     TraceSpan span(options_.obs.tracer, "ingest.remove_coalesce");
@@ -248,7 +241,6 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     const std::vector<size_t>& ids = resolved.value();
     // Validates range/duplicates and prunes the per-user lists eagerly.
     ACTIVEITER_RETURN_IF_ERROR(index_->RemoveCandidates(ids));
-    ACTIVEITER_RETURN_IF_ERROR(session_->AbsorbRemovedRows(ids));
     for (size_t id : ids) {
       Status removed = candidates_.Remove(id);
       ACTIVEITER_CHECK_MSG(removed.ok(), "validated removal failed to apply");
@@ -262,15 +254,18 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
         ++next_removed;
         continue;
       }
-      global_ids_[write++] = global_ids_[i];
+      global_ids_[write] = global_ids_[i];
+      pins_[write] = pins_[i];
+      ++write;
     }
     global_ids_.resize(write);
+    pins_.resize(write);
     removed_count = ids.size();
     RowsRemovedCounter().Add(removed_count);
   }
 
-  // Existing candidates whose dirty feature columns actually moved:
-  // overwrite the row in place and absorb it as a rank-1 replace.
+  // Existing candidates' dirty feature columns take the plane's values;
+  // a row counts as replaced when any of them actually moved.
   size_t replaced = 0;
   const size_t old_count = candidates_.size();
   if (!dirty_columns.empty() && old_count > 0) {
@@ -281,20 +276,14 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
       fresh.push_back(plane.Column(k, candidates_));
     }
     for (size_t i = 0; i < old_count; ++i) {
+      double* row = x_.row_data(i);
       bool changed = false;
       for (size_t j = 0; j < dirty_columns.size(); ++j) {
-        if (fresh[j](i) != x_(i, dirty_columns[j])) {
-          changed = true;
-          break;
-        }
+        const double value = fresh[j](i);
+        changed |= value != row[dirty_columns[j]];
+        row[dirty_columns[j]] = value;
       }
-      if (!changed) continue;
-      Vector old_row = x_.Row(i);
-      for (size_t j = 0; j < dirty_columns.size(); ++j) {
-        x_(i, dirty_columns[j]) = fresh[j](i);
-      }
-      ACTIVEITER_RETURN_IF_ERROR(session_->AbsorbReplacedRow(i, old_row));
-      ++replaced;
+      if (changed) ++replaced;
     }
   }
 
@@ -312,23 +301,11 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     next_global_id_ = next_global_id;
     index_->SyncWithCandidates(plane.pair());
     x_.AppendRows(new_rows);
-    ACTIVEITER_RETURN_IF_ERROR(session_->AbsorbAppendedRows(old_count));
+    pins_.resize(x_.rows(), Pin::kFree);
     // A re-revealed candidate that IS a train anchor re-enters L+ — the
     // churn twin of Start()'s pinning pass (appended negatives never match
     // an anchor, so this is a no-op on grow-only streams).
-    if (!slice.new_candidates.empty()) {
-      std::unordered_set<uint64_t> labeled;
-      labeled.reserve(plane.train_anchors().size() * 2);
-      for (const AnchorLink& a : plane.train_anchors()) {
-        labeled.insert((static_cast<uint64_t>(a.u1) << 32) | a.u2);
-      }
-      for (size_t r = 0; r < slice.new_candidates.size(); ++r) {
-        const auto& [u1, u2] = slice.new_candidates[r];
-        if (labeled.count((static_cast<uint64_t>(u1) << 32) | u2) != 0) {
-          session_->SetPin(old_count + r, Pin::kPositive);
-        }
-      }
-    }
+    if (!slice.new_candidates.empty()) PinLabeled(plane, old_count);
   }
 
   ++epoch_;
@@ -341,10 +318,6 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     stats_.rows_appended += slice.new_candidates.size();
     stats_.rows_replaced += replaced;
     stats_.rows_removed += removed_count;
-    stats_.rank_one_updates +=
-        CholeskyFactor::TotalRankOneUpdateCount() - rank1_before;
-    stats_.full_factorisations +=
-        CholeskyFactor::TotalFactorCount() - factors_before;
   }
   return Status::OK();
 }

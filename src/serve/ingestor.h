@@ -13,34 +13,32 @@
 //   ShardedIngestor (shard.h)         — the coordinator: a plane ring, N
 //                                       shards and the background queue.
 //
-// A ServeDelta batch advances a (plane, shard) pair in seven steps:
+// A ServeDelta batch advances a (plane, shard) pair in six steps:
 //
 //   1. plane.Apply              (atomic graph change + dirty tokens; grows
 //                                AND shrinks — edge removals and anchor
 //                                retractions apply validate-then-commit)
 //   2. plane.Refresh            (only dirty diagrams recompute; clean
 //                                intermediates migrate via padding)
-//   3. removed rows             (withdrawn candidates: one blocked rank-k
-//                                DOWNDATE of the factor + Gram downdate,
-//                                then X/candidates/index/pins compact —
-//                                zero refactorisations unless the downdate
-//                                goes numerically indefinite, which costs
-//                                exactly one counted refactor)
-//   4. replaced rows            (existing candidates whose dirty feature
-//                                columns changed: Gram replace + rank-1
-//                                update/downdate pair per row)
-//   5. appended rows            (new candidates: feature row from the
-//                                proximity tables, Gram fold-in + one
-//                                rank-1 update per row)
-//   6. re-run the PU alternation (IterAligner against the grown session —
-//                                solves only, the factor is never rebuilt)
-//   7. BuildSnapshot + Publish  (atomic epoch swap in the service)
+//   3. edit X                   (withdrawn candidates' rows, index entries
+//                                and pins compact out; existing rows whose
+//                                dirty feature columns moved are
+//                                overwritten in place; new candidates
+//                                append a row from the proximity tables)
+//   4. refit                    (AlignmentSession::Create over X: one Gram
+//                                product and one Cholesky factorisation of
+//                                I + cG, trivial at d ≈ 30)
+//   5. re-run the PU alternation (IterAligner against the refit session)
+//   6. BuildSnapshot + Publish  (atomic epoch swap in the service)
 //
 // Steps 1–2 are plane work (once per drain, however many shards); steps
-// 3–7 are shard work (per slice, shard-parallel — see shard.h). After
-// Start()'s single Prepare no full factorisation ever runs again —
-// stats().full_factorisations stays 1 per shard, proven in the
-// integration tests via CholeskyFactor::TotalFactorCount.
+// 3–6 are shard work (per slice, shard-parallel — see shard.h). X is
+// bitwise equal to a fresh extraction over the mutated pair, and step 4
+// forms G and L from it exactly as a fresh batch build does, so every
+// published w, score vector and label vector is BITWISE equal to a fresh
+// build over the same candidates — on grow, replace and churn alike.
+// stats().full_factorisations counts one factorisation per shard per
+// published epoch.
 //
 // The coordinator applies deltas either synchronously (ApplyOnce —
 // deterministic, used by tests and epoch-by-epoch comparisons) or on its
@@ -169,9 +167,8 @@ struct IngestStats {
   uint64_t coalesced_batches = 0;     // submits absorbed into a shared epoch
   uint64_t rows_appended = 0;
   uint64_t rows_replaced = 0;
-  uint64_t rows_removed = 0;          // candidate rows downdated out
-  uint64_t rank_one_updates = 0;      // factor updates + downdates
-  uint64_t full_factorisations = 0;   // stays 1 after Start()
+  uint64_t rows_removed = 0;          // withdrawn candidate rows
+  uint64_t full_factorisations = 0;   // one refit per published epoch
   // Pipeline accounting (coordinator-level; ModelShard leaves them 0).
   uint64_t pipeline_stalls = 0;       // backpressure waits (buffer/queue)
   uint64_t max_inflight_planes = 0;   // high-water drains in flight; a
@@ -184,8 +181,8 @@ struct IngestStats {
 };
 
 /// One shard's model state: a disjoint candidate slice with its own
-/// incidence index, design matrix, RidgePrepared session, PU alternation
-/// and snapshot chain. Consumes a FeaturePlane it does not own; distinct
+/// incidence index, design matrix, pin state, PU alternation and snapshot
+/// chain. Consumes a FeaturePlane it does not own; distinct
 /// shards over the same plane share nothing mutable, so their ApplySlice
 /// calls may run concurrently (each against its own slice) once the plane
 /// is refreshed.
@@ -201,16 +198,16 @@ class ModelShard {
   ModelShard(const ModelShard&) = delete;
   ModelShard& operator=(const ModelShard&) = delete;
 
-  /// Builds and publishes epoch 0 — the only full feature gather, Gram
-  /// product and Cholesky factorisation of the shard's lifetime. The
-  /// plane refreshes lazily on the first shard that starts.
+  /// Builds and publishes epoch 0 — the only full feature gather of the
+  /// shard's lifetime. The plane refreshes lazily on the first shard that
+  /// starts.
   Status Start(FeaturePlane& plane);
 
   /// Applies this shard's slice of a batch against an already-refreshed
-  /// plane: removed rows downdated out for the slice's withdrawn
-  /// candidates, replaced rows for `dirty_columns`, appended rows for the
-  /// slice's new candidates, realign, publish. The slice carries the
-  /// global id of every new candidate (what RouteServeDelta stamps).
+  /// plane: rows of the slice's withdrawn candidates removed, rows whose
+  /// `dirty_columns` moved overwritten, rows for the slice's new
+  /// candidates appended, then refit, realign, publish. The slice carries
+  /// the global id of every new candidate (what RouteServeDelta stamps).
   /// `submitted_batches` is the number of Submit() calls the slice
   /// coalesces (1 for ApplyOnce).
   Status ApplySlice(const FeaturePlane& plane,
@@ -234,6 +231,10 @@ class ModelShard {
   uint64_t epoch() const { return epoch_; }
 
  private:
+  /// Pins the candidates in [first, size) that ARE a train anchor (L+).
+  void PinLabeled(const FeaturePlane& plane, size_t first);
+  /// Refits a session over X (one Gram product, one factorisation), runs
+  /// the PU alternation against it and publishes the next snapshot.
   Status Publish();
 
   CandidateLinkSet candidates_;
@@ -242,7 +243,7 @@ class ModelShard {
 
   std::unique_ptr<IncidenceIndex> index_;
   Matrix x_;
-  std::unique_ptr<AlignmentSession> session_;
+  std::vector<Pin> pins_;  // per row of x_: L+ positives, the rest free
   IterAligner aligner_;
   std::vector<size_t> global_ids_;
   size_t next_global_id_ = 0;  // one past the highest global id held

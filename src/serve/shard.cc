@@ -183,8 +183,8 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
   // Deterministic mode keeps every plane buffer in lock-step: replay
   // whatever a buffer missed while the coordinator ran, then advance all
   // of them together (clone refreshes stay lazy — their accumulated dirt
-  // resolves on next background use, and the replace pass value-compares,
-  // so a superset dirty set cannot change any absorb).
+  // resolves on next background use, and a superset dirty set rewrites X
+  // with the values it already holds, so it cannot change any absorb).
   for (size_t b = 0; b < ring_.size(); ++b) CatchUpBuffer(b);
   graph_history_.clear();
   // Validate-before-mutate: a rejected batch leaves the plane AND every
@@ -446,7 +446,6 @@ IngestStats ShardedIngestor::stats() const {
     total.rows_appended += shard.rows_appended;
     total.rows_removed += shard.rows_removed;
     total.rows_replaced += shard.rows_replaced;
-    total.rank_one_updates += shard.rank_one_updates;
     total.full_factorisations += shard.full_factorisations;
   }
   std::lock_guard<std::mutex> lock(mu_);

@@ -16,10 +16,10 @@
 //                       └──────────────────────────────────────────────── ┘  (QueryBackend)
 //
 // Stage 1 (coordinator): validate → graph apply → SpGEMM refresh → route.
-// Stage 2 (shard executors): downdate/replace/append rows → PU realign →
-// snapshot publish, one persistent thread per shard (mailbox + condition
-// variable, started once at StartBackground, joined at Stop — steady-state
-// drains spawn zero threads).
+// Stage 2 (shard executors): edit X (remove/replace/append rows) → refit
+// → PU realign → snapshot publish, one persistent thread per shard
+// (mailbox + condition variable, started once at StartBackground, joined
+// at Stop — steady-state drains spawn zero threads).
 //
 // The pipeline: the plane is a ring of pipeline_depth + 1 buffers. Drain
 // N's slices absorb against buffer N mod (d+1) while the coordinator
@@ -33,8 +33,9 @@
 // skew, and each shard still sees every drain in submission order, so
 // published epochs are bitwise-identical to the serial schedule at every
 // depth. (Replaying a drain onto a buffer may mark a SUPERSET of the
-// serial dirty columns; that is harmless because the replace pass
-// value-compares each row against the design matrix before absorbing.)
+// serial dirty columns; that is harmless because a column that did not
+// move rewrites X with the values it already holds, and the replace pass
+// counts only rows whose values changed.)
 //
 // Model semantics: each shard trains the PU alternation on its own slice.
 // Every shard's model equals an independent plane + ModelShard pipeline
@@ -155,10 +156,11 @@ class ShardedIngestor {
 
   /// Ingest accounting. Drain-level counters (epochs_published,
   /// deltas_applied, coalesced_batches) advance in lock-step on every
-  /// shard and are reported once; per-row counters (rows_appended,
-  /// rows_removed, rows_replaced, rank_one_updates, full_factorisations)
-  /// are summed across shards — full_factorisations equals num_shards
-  /// after Start(). pipeline_stalls / max_inflight_planes are
+  /// shard and are reported once; per-shard counters (rows_appended,
+  /// rows_removed, rows_replaced, full_factorisations) are summed across
+  /// shards — every shard refits once per published epoch, so
+  /// full_factorisations equals num_shards × epochs_published.
+  /// pipeline_stalls / max_inflight_planes are
   /// coordinator-level: max_inflight_planes ≥ 2 proves prepare/absorb
   /// actually overlapped; serial operation reports 0 / 1.
   IngestStats stats() const;

@@ -266,66 +266,5 @@ TEST(AlignmentSessionTest, SessionsWithDifferentCShareOnePrepared) {
                      fresh.value().solver().Solve(y));
 }
 
-TEST(AlignmentSessionTest, SharedPreparedSessionsRefuseToGrow) {
-  SessionFixture f(8, 0.05, 10);
-  auto owner = AlignmentSession::Create(f.x, *f.index, 1.0);
-  ASSERT_TRUE(owner.ok());
-  auto sibling = AlignmentSession::CreateFromPrepared(
-      owner.value().shared_prepared(), *f.index, 2.0);
-  ASSERT_TRUE(sibling.ok());
-  EXPECT_EQ(sibling.value().AbsorbAppendedRows(f.x.rows()).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(sibling.value().AbsorbReplacedRow(0, f.x.Row(0)).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(AlignmentSessionTest, GrownSessionMatchesFreshSessionWithinTolerance) {
-  SessionFixture f(12, 0.06, 11);
-  // The fixture's x/index stay whole; grow a copy of the problem.
-  Matrix x = f.x;
-  CandidateLinkSet candidates = f.candidates;
-  IncidenceIndex index(f.pair, candidates);
-  auto grown = AlignmentSession::Create(x, index, 1.0);
-  ASSERT_TRUE(grown.ok());
-  for (size_t id : f.labeled) grown.value().SetPin(id, Pin::kPositive);
-
-  const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
-  const size_t old_rows = x.rows();
-  Rng rng(99);
-  Matrix new_rows(5, 2);
-  for (size_t r = 0; r < 5; ++r) {
-    candidates.Add(static_cast<NodeId>(rng.UniformInt(12)),
-                   static_cast<NodeId>(rng.UniformInt(12)));
-    new_rows(r, 0) = rng.Normal(0.4, 0.1);
-    new_rows(r, 1) = 1.0;
-  }
-  index.SyncWithCandidates(f.pair);
-  x.AppendRows(new_rows);
-  ASSERT_TRUE(grown.value().AbsorbAppendedRows(old_rows).ok());
-  // And one replaced row on top.
-  Vector old_row = x.Row(2);
-  x(2, 0) += 0.25;
-  ASSERT_TRUE(grown.value().AbsorbReplacedRow(2, old_row).ok());
-  EXPECT_EQ(CholeskyFactor::TotalFactorCount(), factors_before);
-  EXPECT_EQ(grown.value().size(), old_rows + 5);
-  EXPECT_EQ(grown.value().pinned().size(), old_rows + 5);
-
-  IterAligner aligner;
-  auto via_grown = aligner.Align(grown.value());
-  ASSERT_TRUE(via_grown.ok());
-
-  auto fresh = AlignmentSession::Create(x, index, 1.0);
-  ASSERT_TRUE(fresh.ok());
-  for (size_t id : f.labeled) fresh.value().SetPin(id, Pin::kPositive);
-  auto via_fresh = aligner.Align(fresh.value());
-  ASSERT_TRUE(via_fresh.ok());
-
-  // Rank-1 arithmetic differs from a fresh factorisation only in rounding.
-  ASSERT_EQ(via_grown.value().scores.size(), via_fresh.value().scores.size());
-  EXPECT_LT((via_grown.value().scores - via_fresh.value().scores).NormInf(),
-            1e-9);
-  ExpectBitwiseEqual(via_grown.value().y, via_fresh.value().y);
-}
-
 }  // namespace
 }  // namespace activeiter

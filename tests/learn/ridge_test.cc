@@ -164,65 +164,6 @@ TEST(RidgePreparedTest, PooledPreparationBitwiseEqualsSerial) {
   for (size_t j = 0; j < a.size(); ++j) EXPECT_EQ(a(j), b(j));
 }
 
-TEST(RidgeOnlineTest, AppendRowsMatchesRebuiltGram) {
-  Matrix x = RandomDesign(25, 6, 21);
-  RidgePrepared prepared = RidgePrepared::Create(x);
-  Matrix extra = RandomDesign(7, 6, 22);
-  ASSERT_TRUE(prepared.AppendRows(&x, extra).ok());
-  EXPECT_EQ(x.rows(), 32u);
-  // The incremental Gram matches a from-scratch product over the grown X.
-  EXPECT_LT(Matrix::MaxAbsDiff(prepared.gram(), x.Gram()), 1e-10);
-}
-
-TEST(RidgeOnlineTest, AppendRowsRejectsForeignMatrix) {
-  Matrix x = RandomDesign(10, 4, 23);
-  Matrix other = RandomDesign(10, 4, 24);
-  RidgePrepared prepared = RidgePrepared::Create(x);
-  EXPECT_FALSE(prepared.AppendRows(&other, RandomDesign(2, 4, 25)).ok());
-}
-
-TEST(RidgeOnlineTest, AbsorbAppendedRowsMatchesFreshSolver) {
-  Matrix x = RandomDesign(40, 5, 31);
-  RidgePrepared prepared = RidgePrepared::Create(x);
-  auto solver = prepared.SolverFor(2.0);
-  ASSERT_TRUE(solver.ok());
-  Matrix extra = RandomDesign(11, 5, 32);
-  ASSERT_TRUE(prepared.AppendRows(&x, extra).ok());
-  const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
-  ASSERT_TRUE(solver.value().AbsorbAppendedRows(extra).ok());
-  EXPECT_EQ(CholeskyFactor::TotalFactorCount(), factors_before);
-
-  auto fresh = RidgeSolver::Create(x, 2.0);
-  ASSERT_TRUE(fresh.ok());
-  Vector y(51);
-  Rng rng(33);
-  for (size_t i = 0; i < y.size(); ++i) y(i) = rng.Bernoulli(0.2) ? 1.0 : 0.0;
-  Vector w_inc = solver.value().Solve(y);
-  Vector w_ref = fresh.value().Solve(y);
-  EXPECT_LT((w_inc - w_ref).NormInf(), 1e-9);
-}
-
-TEST(RidgeOnlineTest, AbsorbReplacedRowMatchesFreshSolver) {
-  Matrix x = RandomDesign(30, 4, 41);
-  RidgePrepared prepared = RidgePrepared::Create(x);
-  auto solver = prepared.SolverFor(0.5);
-  ASSERT_TRUE(solver.ok());
-  Vector old_row = x.Row(12);
-  Vector new_row{1.5, -0.25, 0.75, 1.0};
-  for (size_t j = 0; j < 4; ++j) x(12, j) = new_row(j);
-  prepared.UpdateGramForReplacedRow(old_row, new_row);
-  ASSERT_TRUE(solver.value().AbsorbReplacedRow(old_row, new_row).ok());
-  EXPECT_LT(Matrix::MaxAbsDiff(prepared.gram(), x.Gram()), 1e-10);
-
-  auto fresh = RidgeSolver::Create(x, 0.5);
-  ASSERT_TRUE(fresh.ok());
-  Vector y(30);
-  Rng rng(42);
-  for (size_t i = 0; i < y.size(); ++i) y(i) = rng.Bernoulli(0.2) ? 1.0 : 0.0;
-  EXPECT_LT((solver.value().Solve(y) - fresh.value().Solve(y)).NormInf(),
-            1e-9);
-}
-
 // Property sweep: paper closed form w = c(I + cXᵀX)⁻¹Xᵀy holds for many c.
 class RidgeCSweep : public ::testing::TestWithParam<double> {};
 

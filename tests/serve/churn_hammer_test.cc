@@ -2,7 +2,7 @@
 // ShardRouter while the coordinator drains a CHURNED stream — every wave
 // followed by edge removals, anchor retractions and candidate removals,
 // with one re-add batch at the end. Run under TSan (the serve_ CI job)
-// this covers the downdate/compaction path racing snapshot readers.
+// this covers the removal/compaction path racing snapshot readers.
 //
 // One invariant is deliberately weaker than the grow-only hammer: a link
 // returned by TopKFor may be REMOVED before the follow-up ScorePair, so
@@ -117,7 +117,8 @@ TEST(ChurnHammerTest, ReadersRaceCoordinatedGrowShrinkIngest) {
   EXPECT_GE(backend.epoch(), 1u);
   // The churned stream genuinely shrank the model along the way.
   EXPECT_GT(stats.rows_removed, 0u);
-  EXPECT_EQ(stats.full_factorisations, 2u);
+  // Exact under concurrent absorbs: each shard counts its own refits.
+  EXPECT_EQ(stats.full_factorisations, 2 * stats.epochs_published);
 }
 
 }  // namespace

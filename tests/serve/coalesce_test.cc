@@ -52,13 +52,13 @@ TEST_P(CoalesceBacklogTest, BacklogDrainsAsOneEpochBitwiseEqualToMergedApply) {
   ASSERT_TRUE(sharded.background_status().ok());
 
   // One drain across all shards: the drain-level counters are reported
-  // once, the factorisations summed.
+  // once, the factorisations (one per shard per epoch) summed.
   const IngestStats stats = sharded.stats();
   EXPECT_EQ(stats.deltas_applied, batches);
   EXPECT_EQ(stats.coalesced_batches, batches - 1);
   EXPECT_EQ(stats.epochs_published, 2u);  // epoch 0 + the single drain
   EXPECT_EQ(sharded.backend().epoch(), 1u);
-  EXPECT_EQ(stats.full_factorisations, n);
+  EXPECT_EQ(stats.full_factorisations, n * stats.epochs_published);
 
   // Twin: the merged backlog through the deterministic path — bit-for-bit
   // the same design matrix and published model on every shard.

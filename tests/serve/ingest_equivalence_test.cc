@@ -3,10 +3,10 @@
 //
 //   * the incrementally maintained design matrix X is BITWISE identical to
 //     a fresh FeatureExtractor over the mutated pair,
-//   * scores/weights agree with a freshly factored session up to rank-1
-//     rounding, and the matched set (Top-K alignment) is identical,
-//   * and the whole stream performs exactly ONE full factorisation (the
-//     epoch-0 Prepare), proven via CholeskyFactor::TotalFactorCount.
+//   * weights, scores and the matched set (Top-K alignment) are BITWISE
+//     identical to a freshly built session's,
+//   * and every published epoch costs exactly ONE factorisation (the
+//     shard's refit), proven via CholeskyFactor::TotalFactorCount.
 
 #include <memory>
 #include <utility>
@@ -82,8 +82,8 @@ TEST(IngestEquivalenceTest, StreamedIngestMatchesBatchRebuildEveryEpoch) {
   for (size_t b = 0; b < s.batches.size(); ++b) {
     const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
     ASSERT_TRUE(ingestor.ApplyOnce(s.batches[b]).ok());
-    // The ingest path itself never refactored.
-    EXPECT_EQ(CholeskyFactor::TotalFactorCount(), factors_before);
+    // The epoch cost exactly one refit.
+    EXPECT_EQ(CholeskyFactor::TotalFactorCount(), factors_before + 1);
 
     auto snap = service.snapshot();
     ASSERT_NE(snap, nullptr);
@@ -98,11 +98,12 @@ TEST(IngestEquivalenceTest, StreamedIngestMatchesBatchRebuildEveryEpoch) {
     EXPECT_EQ(Matrix::MaxAbsDiff(rebuild.x, design), 0.0)
         << "epoch " << b + 1;
 
-    // 2. Scores agree up to rank-1 rounding; the matched set is identical.
+    // 2. Weights, scores and the matched set are bitwise a fresh build's.
     ASSERT_EQ(rebuild.result.scores.size(), snap->scores.size());
-    EXPECT_LT((rebuild.result.scores - snap->scores).NormInf(), 1e-8)
+    EXPECT_EQ((rebuild.result.scores - snap->scores).NormInf(), 0.0)
         << "epoch " << b + 1;
-    EXPECT_LT((rebuild.result.w - snap->w).NormInf(), 1e-8);
+    EXPECT_EQ((rebuild.result.w - snap->w).NormInf(), 0.0)
+        << "epoch " << b + 1;
     for (size_t i = 0; i < snap->size(); ++i) {
       EXPECT_EQ(rebuild.result.y(i), snap->y(i))
           << "epoch " << b + 1 << " link " << i;
@@ -111,9 +112,8 @@ TEST(IngestEquivalenceTest, StreamedIngestMatchesBatchRebuildEveryEpoch) {
 
   IngestStats stats = ingestor.stats();
   EXPECT_EQ(stats.epochs_published, s.batches.size() + 1);
-  EXPECT_EQ(stats.full_factorisations, 1u);
+  EXPECT_EQ(stats.full_factorisations, stats.epochs_published);
   EXPECT_GE(stats.rows_appended, 100u);
-  EXPECT_GT(stats.rank_one_updates, 0u);
 }
 
 TEST(IngestEquivalenceTest, EmptyDeltaStillPublishesAnEpoch) {
@@ -130,7 +130,7 @@ TEST(IngestEquivalenceTest, EmptyDeltaStillPublishesAnEpoch) {
   ASSERT_TRUE(ingestor.ApplyOnce(ServeDelta{}).ok());
   EXPECT_EQ(ingestor.backend().epoch(), 1u);
   EXPECT_EQ(ingestor.stats().rows_appended, 0u);
-  EXPECT_EQ(ingestor.stats().full_factorisations, 1u);
+  EXPECT_EQ(ingestor.stats().full_factorisations, 2u);  // epochs 0 and 1
 }
 
 TEST(IngestEquivalenceTest, InvalidDeltaSurfacesAndKeepsServing) {

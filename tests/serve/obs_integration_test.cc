@@ -74,9 +74,13 @@ TEST(ObsIntegrationTest, SingleShardEmitsEveryStageAndSettlesLag) {
   ExpectStage(totals, "ingest.plane_extract");
   ExpectStage(totals, "ingest.apply_slice");
   ExpectStage(totals, "ingest.append_rows");
+  ExpectStage(totals, "ingest.refit");
   ExpectStage(totals, "ingest.realign");
   ExpectStage(totals, "ingest.snapshot_publish");
   EXPECT_EQ(totals.at("ingest.submit").count, batches);
+  // Every realign runs against a session refit from X just before it.
+  EXPECT_EQ(totals.at("ingest.refit").count,
+            totals.at("ingest.realign").count);
   EXPECT_EQ(tracer.dropped_events(), 0u);
 
   // Query-side histograms populate through the service surface.
@@ -193,10 +197,10 @@ TEST(ObsIntegrationTest, ChurnIngestEmitsRemovalSpanAndKernelCounters) {
   // matter which registry the ingestor attaches; snapshot before.
   Counter* rows_removed =
       MetricsRegistry::Default().GetCounter("serve.ingest.rows_removed");
-  Counter* downdates = MetricsRegistry::Default().GetCounter(
-      "linalg.cholesky.rank_one_downdates");
+  Counter* factorisations = MetricsRegistry::Default().GetCounter(
+      "linalg.cholesky.factorisations");
   const uint64_t rows_removed_before = rows_removed->value();
-  const uint64_t downdates_before = downdates->value();
+  const uint64_t factorisations_before = factorisations->value();
 
   ShardedIngestor ingestor(std::move(s.initial), s.train_anchors,
                            std::move(s.initial_candidates), options);
@@ -206,12 +210,15 @@ TEST(ObsIntegrationTest, ChurnIngestEmitsRemovalSpanAndKernelCounters) {
   }
 
   // The churned stream really removed rows, traced the removal stage and
-  // drove the factor through the rank-one downdate kernel.
+  // refit the model once per published epoch — the kernel counter and the
+  // shard's own count agree.
   EXPECT_GT(ingestor.stats().rows_removed, 0u);
   EXPECT_EQ(rows_removed->value() - rows_removed_before,
             ingestor.stats().rows_removed);
-  EXPECT_GE(downdates->value() - downdates_before,
-            ingestor.stats().rows_removed);
+  EXPECT_EQ(factorisations->value() - factorisations_before,
+            ingestor.stats().epochs_published);
+  EXPECT_EQ(ingestor.stats().full_factorisations,
+            ingestor.stats().epochs_published);
   const auto totals = tracer.StageTotals();
   ExpectStage(totals, "ingest.remove_coalesce");
   ExpectStage(totals, "ingest.apply_slice");

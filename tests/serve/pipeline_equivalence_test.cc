@@ -5,7 +5,7 @@
 //               ApplyOnce coordinator publishes — same links, scores,
 //               labels, weights and design matrices at 1, 2 and 4 shards,
 //               on grow-only AND churn streams, with factor counters
-//               pinning zero extra refactorisations.
+//               pinning one refit per shard per published epoch.
 //   depth = 0   the serial coordinator survives (one plane buffer, the
 //               buffer wait is the barrier) and reports 0 stalls and
 //               max_inflight_planes = 1.
@@ -121,10 +121,10 @@ TEST_P(PipelineEquivalenceTest, PipelinedMatchesSerialAtEveryEpoch) {
   EXPECT_EQ(stats.deltas_applied, kBatches);
   EXPECT_EQ(stats.coalesced_batches, 0u);
   EXPECT_EQ(stats.epochs_published, kBatches + 1);
-  // Zero extra refactorisations: the ring replays graph deltas, never
-  // model work.
-  EXPECT_EQ(stats.full_factorisations, n);
-  EXPECT_EQ(reference.stats().full_factorisations, n);
+  // One refit per shard per published epoch and no extra model work: the
+  // ring replays graph deltas only.
+  EXPECT_EQ(stats.full_factorisations, n * (kBatches + 1));
+  EXPECT_EQ(reference.stats().full_factorisations, n * (kBatches + 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, PipelineEquivalenceTest,
@@ -202,7 +202,7 @@ TEST(PipelineEquivalenceTest, BackloggedPipelineOverlapsAndStaysBitwise) {
   const IngestStats stats = pipelined.stats();
   EXPECT_EQ(stats.deltas_applied, kBatches);
   EXPECT_EQ(stats.epochs_published, kBatches + 1);
-  EXPECT_EQ(stats.full_factorisations, 2u);
+  EXPECT_EQ(stats.full_factorisations, 2 * (kBatches + 1));
   // The overlap proof: at least one drain was being prepared while an
   // earlier one was still absorbing. (The worker dispatches and loops
   // straight into the next take; absorbs span a realign + publish, so a
@@ -290,7 +290,7 @@ TEST(PipelineEquivalenceTest, DeeperRingReplaysAndResumesDeterministically) {
 
   ExpectAllShardsBitwiseEqual(reference, deep, "deep-ring final epoch");
   EXPECT_LE(deep.stats().max_inflight_planes, 3u);
-  EXPECT_EQ(deep.stats().full_factorisations, 2u);
+  EXPECT_EQ(deep.stats().full_factorisations, 2 * (kBatches + 1));
 }
 
 }  // namespace

@@ -117,7 +117,8 @@ TEST(PipelineHammerTest, ReadersRacePipelinedIngestUnderBackpressure) {
   EXPECT_EQ(stats.deltas_applied, s.batches.size());
   EXPECT_EQ(stats.coalesced_batches, 0u);
   EXPECT_GE(backend.epoch(), 1u);
-  EXPECT_EQ(stats.full_factorisations, 2u);
+  // Exact under concurrent absorbs: each shard counts its own refits.
+  EXPECT_EQ(stats.full_factorisations, 2 * stats.epochs_published);
   // Backpressure fired: a capped queue fed 10 rapid submits must block
   // the producer at least once, and the ring bounds the drains in
   // flight at depth + 1.

@@ -187,8 +187,8 @@ TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentIngestor) {
   EXPECT_EQ(stats.deltas_applied, s.batches.size());
   // Every removal found its owning shard, once.
   EXPECT_EQ(stats.rows_removed, stream_removals);
-  // One factorisation per shard, never more.
-  EXPECT_EQ(stats.full_factorisations, n);
+  // One factorisation per shard per published epoch, never more.
+  EXPECT_EQ(stats.full_factorisations, n * stats.epochs_published);
 }
 
 INSTANTIATE_TEST_SUITE_P(

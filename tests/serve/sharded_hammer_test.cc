@@ -110,7 +110,8 @@ TEST(ShardedHammerTest, ReadersRaceCoordinatedShardIngest) {
   EXPECT_GE(backend.epoch(), 1u);
   EXPECT_EQ(stats.deltas_applied - stats.coalesced_batches,
             stats.epochs_published - 1);
-  EXPECT_EQ(stats.full_factorisations, 2u);
+  // Exact under concurrent absorbs: each shard counts its own refits.
+  EXPECT_EQ(stats.full_factorisations, 2 * stats.epochs_published);
 }
 
 }  // namespace

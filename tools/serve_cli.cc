@@ -359,7 +359,6 @@ void PrintRun(const RunResult& r) {
   table.AddRow({"rows appended", u64(r.stats.rows_appended)});
   table.AddRow({"rows removed", u64(r.stats.rows_removed)});
   table.AddRow({"rows replaced", u64(r.stats.rows_replaced)});
-  table.AddRow({"rank-1 updates", u64(r.stats.rank_one_updates)});
   table.AddRow({"full factorisations", u64(r.stats.full_factorisations)});
   table.AddRow({"epochs published", u64(r.stats.epochs_published)});
   table.AddRow({"coalesced batches", u64(r.stats.coalesced_batches)});

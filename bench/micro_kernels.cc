@@ -9,7 +9,8 @@
 //     (incremental SpGEMM vs full recompute with its measured crossover
 //     sweep, tiled dense Gram/solve, and a serve shard's per-drain ridge
 //     refit), of the selection kernels (greedy selection and the conflict
-//     query round at 20,000 links) and of feature extraction (the offline
+//     query round at 20,000 links, and greedy selection on separable
+//     scores over K_{143,143}) and of feature extraction (the offline
 //     fold's Extract and a bench-scale delta refresh), written as compact
 //     JSON. CI re-records it as BENCH_kernels.json; the committed copy is
 //     the PR's perf baseline.
@@ -321,6 +322,24 @@ struct SelectionFixture {
     }
     pins.assign(candidates.size(), Pin::kFree);
   }
+  /// The complete bipartite K_{users,users}, link (u, v) scored
+  /// f(u) + g(v) = u / users + v / users², increasing in both and
+  /// distinct: every user ranks the other side alike.
+  explicit SelectionFixture(size_t users) : pair(Nets(users)) {
+    const double scale = static_cast<double>(users);
+    for (size_t u = 0; u < users; ++u) {
+      for (size_t v = 0; v < users; ++v) {
+        candidates.Add(static_cast<NodeId>(u), static_cast<NodeId>(v));
+      }
+    }
+    index = std::make_unique<IncidenceIndex>(pair, candidates);
+    scores = Vector(candidates.size());
+    for (size_t k = 0; k < candidates.size(); ++k) {
+      const auto& [u, v] = candidates.link(k);
+      scores(k) = u / scale + v / (scale * scale);
+    }
+    pins.assign(candidates.size(), Pin::kFree);
+  }
   static AlignedPair Nets(size_t users) {
     HeteroNetwork a(NetworkSchema::SocialNetwork(), "a");
     a.AddNodes(NodeType::kUser, users);
@@ -337,6 +356,14 @@ void BM_GreedySelect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySelect)->Arg(2000)->Arg(20000);
+
+void BM_GreedySelectSeparable(benchmark::State& state) {
+  SelectionFixture f(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GreedySelect(f.scores, *f.index, f.pins, 0.0));
+  }
+}
+BENCHMARK(BM_GreedySelectSeparable)->Arg(143);
 
 /// One conflict query round (k = 5) against the greedy labels of `f`.
 std::vector<size_t> ConflictQueryRound(const SelectionFixture& f,
@@ -558,11 +585,19 @@ int RunRecord(const std::string& path) {
   });
   const double conflict_query_ms =
       TimeMs(5, 20, [&] { (void)ConflictQueryRound(selection, greedy_y); });
+  // Separable scores over K_{143,143} (20,449 links).
+  const size_t separable_users = 143;
+  SelectionFixture separable(separable_users);
+  const double greedy_separable_ms = TimeMs(5, 20, [&] {
+    (void)GreedySelect(separable.scores, *separable.index, separable.pins,
+                       0.0);
+  });
   std::fprintf(stderr,
                "select   users=%zu links=%zu: greedy %.3f ms, conflict "
-               "query %.3f ms\n",
+               "query %.3f ms; separable K%zu,%zu greedy %.3f ms\n",
                selection_users, selection_links, greedy_ms,
-               conflict_query_ms);
+               conflict_query_ms, separable_users, separable_users,
+               greedy_separable_ms);
 
   ExtractionRecord extraction = RecordExtraction();
   std::fprintf(stderr,
@@ -601,9 +636,10 @@ int RunRecord(const std::string& path) {
                gram_ms, solve_ms, refit_ms);
   std::fprintf(out,
                "  \"selection\": {\"users\": %zu, \"links\": %zu, "
-               "\"greedy_ms\": %.4f, \"conflict_query_ms\": %.4f},\n",
+               "\"greedy_ms\": %.4f, \"conflict_query_ms\": %.4f, "
+               "\"separable_users\": %zu, \"greedy_separable_ms\": %.4f},\n",
                selection_users, selection_links, greedy_ms,
-               conflict_query_ms);
+               conflict_query_ms, separable_users, greedy_separable_ms);
   std::fprintf(out,
                "  \"extraction\": {\"fold_candidates\": %zu, "
                "\"extract_ms\": %.4f, \"refresh_batches\": %zu, "

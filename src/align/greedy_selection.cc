@@ -1,116 +1,105 @@
 #include "src/align/greedy_selection.h"
 
-#include <array>
-#include <cstring>
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace activeiter {
 namespace {
 
-/// A free link in the order the greedy scan visits it.
-struct Ranked {
-  uint64_t key;  // DescendingKey(score)
-  size_t id;
+constexpr size_t kNoLink = static_cast<size_t>(-1);
+
+/// A link with its score.
+struct Offer {
+  double score;
+  size_t link;
 };
 
-/// A key whose unsigned order is `score`'s descending numeric order. −0.0
-/// folds into +0.0 because the two compare equal; then a non-negative
-/// score's IEEE bits get the sign bit set and a negative score's bits are
-/// complemented (unsigned order = numeric order), and the result is
-/// complemented (descending).
-uint64_t DescendingKey(double score) {
-  if (score == 0.0) score = 0.0;
-  uint64_t bits;
-  std::memcpy(&bits, &score, sizeof(bits));
-  const uint64_t ascending = bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
-  return ~ascending;
-}
+/// No offer. Every eligible link precedes it: an eligible score exceeds
+/// the threshold, so it is above −inf.
+constexpr Offer kNoOffer{-std::numeric_limits<double>::infinity(), kNoLink};
 
-/// Stable LSD radix sort by key, one byte per pass. A pass whose byte is
-/// the same in every key would move nothing and is skipped.
-void RadixSortByKey(std::vector<Ranked>* records) {
-  constexpr size_t kPasses = sizeof(uint64_t);
-  const size_t n = records->size();
-  if (n < 2) return;
-  std::array<std::array<size_t, 256>, kPasses> counts{};
-  for (const Ranked& r : *records) {
-    for (size_t pass = 0; pass < kPasses; ++pass) {
-      ++counts[pass][(r.key >> (8 * pass)) & 0xff];
-    }
-  }
-  std::vector<Ranked> scratch(n);
-  for (size_t pass = 0; pass < kPasses; ++pass) {
-    const size_t shift = 8 * pass;
-    std::array<size_t, 256>& offsets = counts[pass];
-    if (offsets[((*records)[0].key >> shift) & 0xff] == n) continue;
-    size_t total = 0;
-    for (size_t& slot : offsets) total += std::exchange(slot, total);
-    for (const Ranked& r : *records) {
-      scratch[offsets[(r.key >> shift) & 0xff]++] = r;
-    }
-    records->swap(scratch);
-  }
+/// True iff `a` comes before `b` in the sorted scan's order: score
+/// descending (−0.0 == +0.0), then link id ascending. Every comparison
+/// with a NaN score is false, so an offer whose score is NaN is never
+/// preceded.
+bool Precedes(const Offer& a, const Offer& b) {
+  return a.score > b.score || (a.score == b.score && a.link < b.link);
 }
 
 }  // namespace
 
 Vector GreedySelect(const Vector& scores, const IncidenceIndex& index,
                     const std::vector<Pin>& pinned, double threshold) {
-  return GreedySelectWithCapacity(scores, index, pinned, threshold, 1, 1);
-}
-
-Vector GreedySelectWithCapacity(const Vector& scores,
-                                const IncidenceIndex& index,
-                                const std::vector<Pin>& pinned,
-                                double threshold, size_t capacity_first,
-                                size_t capacity_second) {
   const size_t n = scores.size();
   ACTIVEITER_CHECK_MSG(pinned.size() == n, "pin vector size mismatch");
   ACTIVEITER_CHECK_MSG(index.candidate_count() == n,
                        "incidence index size mismatch");
-  ACTIVEITER_CHECK_MSG(capacity_first >= 1 && capacity_second >= 1,
-                       "capacities must be >= 1");
-  const CandidateLinkSet& candidates = index.candidates();
-
-  Vector y(n);
-  std::vector<size_t> used_first(index.users_first(), 0);
-  std::vector<size_t> used_second(index.users_second(), 0);
-
-  // Pass 1: pinned positives consume capacity unconditionally (their
-  // labels are ground truth; the caller guarantees they respect the
-  // cardinality constraint because true anchors do).
-  for (size_t id = 0; id < n; ++id) {
-    if (pinned[id] == Pin::kPositive) {
-      y(id) = 1.0;
-      const auto& [u1, u2] = candidates.link(id);
-      ++used_first[u1];
-      ++used_second[u2];
-    }
-  }
-
-  // Pass 2: free links in decreasing score order; accept while above the
-  // threshold and capacity remains. Ties broken by link id for
-  // determinism: records enter in id order and the radix sort is stable,
-  // so the scan order is that of a stable comparison sort, in O(|H|).
-  std::vector<Ranked> order;
-  order.reserve(n);
+  const auto& links = index.candidates().links();
   const double* score = scores.data();
-  for (size_t id = 0; id < n; ++id) {
-    if (pinned[id] == Pin::kFree && score[id] > threshold) {
-      order.push_back({DescendingKey(score[id]), id});
+  Vector y(n);
+
+  // The offer each user of network 2 holds, kNoOffer while it has none. A
+  // pinned positive's endpoint holds NaN, which no offer beats.
+  std::vector<Offer> held(index.users_second(), kNoOffer);
+  const Offer pinned_hold{std::numeric_limits<double>::quiet_NaN(), kNoLink};
+
+  // One pass over the first side: pinned positives are labeled and take
+  // both endpoints; every other user with an eligible link (free, score
+  // above the threshold) becomes a proposer, opening with its best one.
+  std::vector<std::pair<Offer, NodeId>> proposers;
+  for (NodeId u = 0; u < index.users_first(); ++u) {
+    bool user_pinned = false;
+    Offer best = kNoOffer;
+    for (size_t l : index.LinksOfFirst(u)) {
+      if (pinned[l] == Pin::kPositive) {
+        y(l) = 1.0;
+        held[links[l].second] = pinned_hold;
+        user_pinned = true;
+      } else if (pinned[l] == Pin::kFree && score[l] > threshold) {
+        const Offer offer{score[l], l};
+        if (Precedes(offer, best)) best = offer;
+      }
+    }
+    if (!user_pinned && best.link != kNoLink) proposers.push_back({best, u});
+  }
+  std::sort(proposers.begin(), proposers.end(),
+            [](const auto& a, const auto& b) {
+              return Precedes(a.first, b.first);
+            });
+
+  // u's best eligible link after `after` whose second-side user would
+  // accept it. Links before `after` need no look: each was refused, or
+  // ineligible, when u chose `after`, and holds only improve.
+  auto next_offer = [&](NodeId u, const Offer& after) {
+    Offer best = kNoOffer;
+    for (size_t l : index.LinksOfFirst(u)) {
+      const Offer offer{score[l], l};
+      if (Precedes(after, offer) && offer.score > threshold &&
+          pinned[l] == Pin::kFree &&
+          Precedes(offer, held[links[l].second]) && Precedes(offer, best)) {
+        best = offer;
+      }
+    }
+    return best;
+  };
+
+  // Deferred acceptance: a user of network 2 keeps the best offer it has
+  // seen, and the user it drops proposes again at once.
+  for (auto [offer, u] : proposers) {
+    while (offer.link != kNoLink) {
+      Offer& hold = held[links[offer.link].second];
+      if (Precedes(offer, hold)) {
+        const Offer dropped = std::exchange(hold, offer);
+        if (dropped.link == kNoLink) break;
+        u = links[dropped.link].first;
+        offer = dropped;
+      }
+      offer = next_offer(u, offer);
     }
   }
-  RadixSortByKey(&order);
-  const auto& links = candidates.links();
-  for (const Ranked& ranked : order) {
-    const auto& [u1, u2] = links[ranked.id];
-    if (used_first[u1] >= capacity_first ||
-        used_second[u2] >= capacity_second) {
-      continue;
-    }
-    y(ranked.id) = 1.0;
-    ++used_first[u1];
-    ++used_second[u2];
+  for (const Offer& hold : held) {
+    if (hold.link != kNoLink) y(hold.link) = 1.0;
   }
   return y;
 }

@@ -32,22 +32,35 @@ enum class Pin : int8_t {
 };
 
 /// Runs the greedy selection. `scores` and `pinned` are indexed by link id;
-/// returns the {0,+1} label vector. Deterministic: links are visited by
-/// decreasing score, equal scores (−0.0 and +0.0 included) by increasing
-/// link id. A stable radix sort yields that order in O(|H|).
+/// returns the {0,+1} label vector of the sorted scan above, which visits
+/// equal scores (−0.0 and +0.0 included) by increasing link id.
+///
+/// The scan itself is not run. Users of network 1 propose to users of
+/// network 2 instead (deferred acceptance, after the Suitor algorithm):
+///   1. pinned positives take both their endpoints;
+///   2. each user of network 1 with an eligible link (free, score above
+///      the threshold) proposes, in descending order of its best eligible
+///      link, along its best link whose network-2 user is free or holds a
+///      later link in the scan order;
+///   3. the user it displaces proposes again;
+///   4. the labels are the pins plus the links held at the end.
+/// Both sides rank links by one strict order (score descending, link id
+/// ascending), under which the stable matching is unique. The scan's
+/// matching is stable (each eligible link it skips has an endpoint taken
+/// by an earlier link), and so is the one deferred acceptance ends in:
+/// the two are the same.
+///
+/// Cost: one pass over the per-user link lists, a sort of the proposers
+/// (at most |U1|), and a rescan of u's list, O(deg(u)), each time user u
+/// is refused or dropped. Every rescan moves u to a later link, so the
+/// worst case is O(Σᵤ deg(u)²). On the paper's offline workload a call
+/// visits about 1.4 links per candidate link.
+///
+/// A link tombstoned by IncidenceIndex::RemoveCandidates but not yet
+/// compacted is never selected, pinned or not, and takes no endpoint: the
+/// selection reads the per-user link lists, which hold no tombstones.
 Vector GreedySelect(const Vector& scores, const IncidenceIndex& index,
                     const std::vector<Pin>& pinned, double threshold);
-
-/// Generalised cardinality constraint (the full model of [21]): each user
-/// of network 1 may be incident to at most `capacity_first` positive links
-/// and each user of network 2 to at most `capacity_second`. Capacities of
-/// (1, 1) recover GreedySelect. Pinned positives consume capacity first.
-/// Both capacities must be >= 1 (checked).
-Vector GreedySelectWithCapacity(const Vector& scores,
-                                const IncidenceIndex& index,
-                                const std::vector<Pin>& pinned,
-                                double threshold, size_t capacity_first,
-                                size_t capacity_second);
 
 }  // namespace activeiter
 

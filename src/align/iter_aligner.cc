@@ -56,8 +56,11 @@ Result<AlignmentResult> IterAligner::Align(
             : HungarianSelect(scores, session.index(), pinned,
                               options_.threshold);
     // Queried negatives stay 0 and pinned positives stay 1 by construction
-    // of GreedySelect; measure label movement.
-    double delta = (y_next - y).Norm1();
+    // of GreedySelect; measure label movement. The labels are {0, 1}, so
+    // ‖y_next − y‖₁ is the number of flipped labels.
+    size_t flips = 0;
+    for (size_t i = 0; i < n; ++i) flips += y_next.data()[i] != y.data()[i];
+    const double delta = static_cast<double>(flips);
     result.trace.delta_y.push_back(delta);
     y = std::move(y_next);
     result.w = std::move(w);

@@ -189,21 +189,13 @@ Vector IncidenceIndex::SecondDegrees(const Vector& y) const {
 }
 
 bool IncidenceIndex::SatisfiesOneToOne(const Vector& y) const {
-  return SatisfiesCardinality(y, 1, 1);
-}
-
-bool IncidenceIndex::SatisfiesCardinality(const Vector& y,
-                                          size_t capacity_first,
-                                          size_t capacity_second) const {
   Vector d1 = FirstDegrees(y);
   Vector d2 = SecondDegrees(y);
-  double cap1 = static_cast<double>(capacity_first);
-  double cap2 = static_cast<double>(capacity_second);
   for (size_t i = 0; i < d1.size(); ++i) {
-    if (d1(i) < -1e-9 || d1(i) > cap1 + 1e-9) return false;
+    if (d1(i) < -1e-9 || d1(i) > 1.0 + 1e-9) return false;
   }
   for (size_t i = 0; i < d2.size(); ++i) {
-    if (d2(i) < -1e-9 || d2(i) > cap2 + 1e-9) return false;
+    if (d2(i) < -1e-9 || d2(i) > 1.0 + 1e-9) return false;
   }
   return true;
 }

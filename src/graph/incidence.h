@@ -115,10 +115,6 @@ class IncidenceIndex {
   /// True iff 0 ≤ A(1)y ≤ 1 and 0 ≤ A(2)y ≤ 1 (the one-to-one constraint).
   bool SatisfiesOneToOne(const Vector& y) const;
 
-  /// Generalised check: 0 ≤ A(1)y ≤ cap1 and 0 ≤ A(2)y ≤ cap2.
-  bool SatisfiesCardinality(const Vector& y, size_t capacity_first,
-                            size_t capacity_second) const;
-
   size_t candidate_count() const { return candidates_->size(); }
 
   /// The candidate set this index was built over.

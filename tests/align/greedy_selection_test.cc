@@ -1,6 +1,7 @@
 #include "src/align/greedy_selection.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -106,25 +107,39 @@ TEST(GreedySelectTest, EmptyCandidateSet) {
   EXPECT_EQ(y.size(), 0u);
 }
 
+TEST(GreedySelectTest, NeverSelectsTombstonedLink) {
+  // Link 0 is removed but not compacted. A scan over every link id would
+  // take it first and block both its endpoints; the per-user lists no
+  // longer hold it, so links 1 and 2 are both free to take.
+  Fixture f = MakeFixture(2, 2, {{0, 0}, {0, 1}, {1, 0}});
+  ASSERT_TRUE(f.index->RemoveCandidates({0}).ok());
+  const Vector scores = {0.9, 0.5, 0.4};
+  std::vector<Pin> pins(3, Pin::kFree);
+  const std::vector<double> expected = {0.0, 1.0, 1.0};
+  EXPECT_EQ(GreedySelect(scores, *f.index, pins, 0.0).values(), expected);
+  pins[0] = Pin::kPositive;  // a pin does not revive a removed link
+  EXPECT_EQ(GreedySelect(scores, *f.index, pins, 0.0).values(), expected);
+}
+
 /// Greedy selection written from its definition: pinned positives take
-/// capacity first (even past it), then free links scoring above the
-/// threshold are visited by decreasing score and accepted while both
-/// endpoints have capacity left. The sort is stable over link ids, so
-/// equal scores, +0.0 and −0.0 included, are visited in link-id order.
+/// their endpoints first (even when they conflict), then free links
+/// scoring above the threshold are visited by decreasing score and
+/// accepted while both endpoints are untaken. The sort is stable over
+/// link ids, so equal scores, +0.0 and −0.0 and equal infinities
+/// included, are visited in link-id order.
 Vector ReferenceGreedy(const Vector& scores, const Fixture& f,
-                       const std::vector<Pin>& pins, double threshold,
-                       size_t capacity_first, size_t capacity_second) {
+                       const std::vector<Pin>& pins, double threshold) {
   const size_t n = scores.size();
   Vector y(n);
-  std::vector<size_t> used_first(f.index->users_first(), 0);
-  std::vector<size_t> used_second(f.index->users_second(), 0);
+  std::vector<bool> taken_first(f.index->users_first(), false);
+  std::vector<bool> taken_second(f.index->users_second(), false);
   std::vector<size_t> order;
   for (size_t l = 0; l < n; ++l) {
     const auto& [u1, u2] = f.candidates.link(l);
     if (pins[l] == Pin::kPositive) {
       y(l) = 1.0;
-      ++used_first[u1];
-      ++used_second[u2];
+      taken_first[u1] = true;
+      taken_second[u2] = true;
     } else if (pins[l] == Pin::kFree && scores(l) > threshold) {
       order.push_back(l);
     }
@@ -134,103 +149,214 @@ Vector ReferenceGreedy(const Vector& scores, const Fixture& f,
   });
   for (size_t l : order) {
     const auto& [u1, u2] = f.candidates.link(l);
-    if (used_first[u1] < capacity_first && used_second[u2] < capacity_second) {
+    if (!taken_first[u1] && !taken_second[u2]) {
       y(l) = 1.0;
-      ++used_first[u1];
-      ++used_second[u2];
+      taken_first[u1] = true;
+      taken_second[u2] = true;
     }
   }
   return y;
 }
 
+/// The inputs of one selection, without the index (built by MakeFixture).
+struct Instance {
+  size_t users1 = 0;
+  size_t users2 = 0;
+  std::vector<std::pair<NodeId, NodeId>> links;
+  Vector scores;
+  std::vector<Pin> pins;
+};
+
+/// A small random instance: few users and repeated pairs, so endpoints
+/// conflict often. Each link draws its score with `draw_score`, then is
+/// pinned positive with probability `positive` and negative with
+/// probability 0.15.
+template <typename DrawScore>
+Instance RandomInstance(uint64_t seed, double positive,
+                        DrawScore draw_score) {
+  Rng rng(seed);
+  Instance in;
+  in.users1 = 1 + rng.UniformInt(6);
+  in.users2 = 1 + rng.UniformInt(6);
+  in.links.resize(rng.UniformInt(41));
+  for (auto& link : in.links) {
+    link = {static_cast<NodeId>(rng.UniformInt(in.users1)),
+            static_cast<NodeId>(rng.UniformInt(in.users2))};
+  }
+  const size_t n = in.links.size();
+  in.scores = Vector(n);
+  in.pins.assign(n, Pin::kFree);
+  for (size_t l = 0; l < n; ++l) {
+    in.scores(l) = draw_score(rng);
+    const double pin = rng.UniformDouble();
+    if (pin < positive) in.pins[l] = Pin::kPositive;
+    if (pin > 0.85) in.pins[l] = Pin::kNegative;
+  }
+  return in;
+}
+
+/// A score on a dyadic grid, so ties occur; a zero score is +0.0 or −0.0
+/// at random, two equal scores that compete only under the negative
+/// threshold.
+double GridScore(Rng& rng) {
+  double score = static_cast<double>(rng.UniformRange(-4, 8)) / 8.0;
+  if (score == 0.0 && rng.Bernoulli(0.5)) score = -0.0;
+  return score;
+}
+
 TEST(GreedySelectTest, MatchesSortedDefinition) {
-  // Small random instances: few users and repeated pairs, so endpoints
-  // conflict often and pinned positives can exceed a capacity. Scores sit
-  // on a dyadic grid, so ties occur; a zero score is +0.0 or −0.0 at
-  // random, two equal scores that compete only under the negative
-  // threshold.
-  const double kStep = 1.0 / 8.0;
-  const size_t kCapacities[][2] = {{1, 1}, {2, 1}, {1, 3}, {2, 2}};
+  // Grid scores with signed zeros, both pin kinds; pinned positives may
+  // conflict with each other.
   size_t compared = 0;
-  for (uint64_t seed = 1; seed <= 3000; ++seed) {
-    Rng rng(seed);
-    const size_t users1 = 1 + rng.UniformInt(6);
-    const size_t users2 = 1 + rng.UniformInt(6);
-    std::vector<std::pair<NodeId, NodeId>> links(rng.UniformInt(41));
-    for (auto& link : links) {
-      link = {static_cast<NodeId>(rng.UniformInt(users1)),
-              static_cast<NodeId>(rng.UniformInt(users2))};
-    }
-    Fixture f = MakeFixture(users1, users2, links);
-    const size_t n = links.size();
-    Vector scores(n);
-    std::vector<Pin> pins(n, Pin::kFree);
-    for (size_t l = 0; l < n; ++l) {
-      scores(l) = static_cast<double>(rng.UniformRange(-4, 8)) * kStep;
-      if (scores(l) == 0.0 && rng.Bernoulli(0.5)) scores(l) = -0.0;
-      const double pin = rng.UniformDouble();
-      if (pin < 0.15) pins[l] = Pin::kPositive;
-      if (pin > 0.85) pins[l] = Pin::kNegative;
-    }
+  for (uint64_t seed = 1; seed <= 12000; ++seed) {
+    const Instance in = RandomInstance(seed, 0.15, GridScore);
+    Fixture f = MakeFixture(in.users1, in.users2, in.links);
     for (double threshold : {-0.25, 0.0, 0.25}) {
-      for (const auto& [cap1, cap2] : kCapacities) {
-        SCOPED_TRACE(testing::Message() << "seed " << seed << " threshold "
-                                        << threshold << " capacities "
-                                        << cap1 << "," << cap2);
-        const Vector y = GreedySelectWithCapacity(scores, *f.index, pins,
-                                                  threshold, cap1, cap2);
-        ASSERT_EQ(y.values(),
-                  ReferenceGreedy(scores, f, pins, threshold, cap1, cap2)
-                      .values());
-        ++compared;
-      }
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " threshold "
+                                      << threshold);
+      ASSERT_EQ(GreedySelect(in.scores, *f.index, in.pins, threshold)
+                    .values(),
+                ReferenceGreedy(in.scores, f, in.pins, threshold).values());
+      ++compared;
     }
   }
   EXPECT_EQ(compared, 36000u);
 }
 
-TEST(GreedyCapacityTest, CapacityTwoAdmitsTwoLinksPerUser) {
-  // User 0 of network 1 has three strong links; capacity 2 keeps two.
-  Fixture f = MakeFixture(1, 3, {{0, 0}, {0, 1}, {0, 2}});
-  Vector scores = {0.9, 0.8, 0.7};
-  std::vector<Pin> pins(3, Pin::kFree);
-  Vector y = GreedySelectWithCapacity(scores, *f.index, pins, 0.5, 2, 1);
-  EXPECT_EQ(y(0), 1.0);
-  EXPECT_EQ(y(1), 1.0);
-  EXPECT_EQ(y(2), 0.0);
-  EXPECT_TRUE(f.index->SatisfiesCardinality(y, 2, 1));
-  EXPECT_FALSE(f.index->SatisfiesOneToOne(y));
+TEST(GreedySelectTest, MatchesSortedDefinitionWithInfiniteScores) {
+  // ±inf scores tie with each other and sit past every finite threshold;
+  // an infinite threshold admits everything but −inf, or nothing.
+  const double kInf = std::numeric_limits<double>::infinity();
+  auto draw = [kInf](Rng& rng) {
+    const double kind = rng.UniformDouble();
+    if (kind < 0.2) return kInf;
+    if (kind < 0.4) return -kInf;
+    return GridScore(rng);
+  };
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    const Instance in = RandomInstance(seed, 0.15, draw);
+    Fixture f = MakeFixture(in.users1, in.users2, in.links);
+    for (double threshold : {-kInf, -0.25, 0.0, kInf}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " threshold "
+                                      << threshold);
+      ASSERT_EQ(GreedySelect(in.scores, *f.index, in.pins, threshold)
+                    .values(),
+                ReferenceGreedy(in.scores, f, in.pins, threshold).values());
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 8000u);
 }
 
-TEST(GreedyCapacityTest, CapacityOneMatchesGreedySelect) {
-  Rng rng(9);
-  Fixture f = MakeFixture(4, 4, {{0, 0}, {0, 1}, {1, 1}, {2, 3}, {3, 2}});
-  Vector scores(5);
-  for (size_t i = 0; i < 5; ++i) scores(i) = rng.UniformDouble();
-  std::vector<Pin> pins(5, Pin::kFree);
-  Vector a = GreedySelect(scores, *f.index, pins, 0.2);
-  Vector b = GreedySelectWithCapacity(scores, *f.index, pins, 0.2, 1, 1);
-  EXPECT_EQ((a - b).Norm1(), 0.0);
+TEST(GreedySelectTest, MatchesSortedDefinitionWithConflictingPins) {
+  // Pinned positives are labeled even when they share an endpoint, and
+  // every endpoint they touch is closed to free links.
+  size_t with_conflict = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    const Instance in = RandomInstance(seed, 0.5, GridScore);
+    Fixture f = MakeFixture(in.users1, in.users2, in.links);
+    Vector pinned_positives(in.links.size());
+    for (size_t l = 0; l < in.links.size(); ++l) {
+      if (in.pins[l] == Pin::kPositive) pinned_positives(l) = 1.0;
+    }
+    if (!f.index->SatisfiesOneToOne(pinned_positives)) ++with_conflict;
+    for (double threshold : {-0.25, 0.0, 0.25}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " threshold "
+                                      << threshold);
+      ASSERT_EQ(GreedySelect(in.scores, *f.index, in.pins, threshold)
+                    .values(),
+                ReferenceGreedy(in.scores, f, in.pins, threshold).values());
+    }
+  }
+  EXPECT_GT(with_conflict, 1000u);
 }
 
-TEST(GreedyCapacityTest, PinnedPositivesConsumeCapacity) {
-  Fixture f = MakeFixture(1, 2, {{0, 0}, {0, 1}});
-  Vector scores = {0.1, 0.95};
-  std::vector<Pin> pins = {Pin::kPositive, Pin::kFree};
-  Vector y = GreedySelectWithCapacity(scores, *f.index, pins, 0.5, 2, 1);
-  // Capacity 2 on side 1: the pin uses one slot, (0,1) takes the other.
-  EXPECT_EQ(y(0), 1.0);
-  EXPECT_EQ(y(1), 1.0);
-  Vector y1 = GreedySelectWithCapacity(scores, *f.index, pins, 0.5, 1, 1);
-  EXPECT_EQ(y1(1), 0.0);  // capacity 1: the pin exhausts user 0
+TEST(GreedySelectTest, MatchesSortedDefinitionWithTombstones) {
+  // A removed, uncompacted link behaves as a pinned negative: never
+  // selected, pinned or not, and it blocks no endpoint.
+  size_t compared = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    const Instance in = RandomInstance(seed, 0.15, GridScore);
+    Fixture f = MakeFixture(in.users1, in.users2, in.links);
+    Rng rng(seed + 1000000);
+    std::vector<size_t> removed;
+    std::vector<Pin> reference_pins = in.pins;
+    for (size_t l = 0; l < in.links.size(); ++l) {
+      if (rng.Bernoulli(0.3)) {
+        removed.push_back(l);
+        reference_pins[l] = Pin::kNegative;
+      }
+    }
+    ASSERT_TRUE(f.index->RemoveCandidates(removed).ok());
+    for (double threshold : {-0.25, 0.0, 0.25}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " threshold "
+                                      << threshold);
+      ASSERT_EQ(
+          GreedySelect(in.scores, *f.index, in.pins, threshold).values(),
+          ReferenceGreedy(in.scores, f, reference_pins, threshold).values());
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 9000u);
 }
 
-TEST(GreedyCapacityDeathTest, ZeroCapacityDies) {
-  Fixture f = MakeFixture(1, 1, {{0, 0}});
-  Vector scores = {0.9};
-  std::vector<Pin> pins(1, Pin::kFree);
-  EXPECT_DEATH(GreedySelectWithCapacity(scores, *f.index, pins, 0.5, 0, 1),
-               "capacities");
+TEST(GreedySelectTest, MatchesSortedDefinitionOnSeparableScores) {
+  // Complete bipartite instances scored f(u) + g(v): every user of one
+  // side ranks the other side alike, so a user proposing in the wrong
+  // order is dropped again and again. Both monotone directions of f and
+  // g, three link-id orders (row-major, column-major, shuffled), a tied
+  // integer grid and a tie-free variant.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<size_t, size_t> kSizes[] = {{1, 1}, {2, 3}, {5, 5},
+                                              {8, 6}, {12, 12}, {143, 143}};
+  size_t compared = 0;
+  for (const auto& [users1, users2] : kSizes) {
+    for (int sign_f : {1, -1}) {
+      for (int sign_g : {1, -1}) {
+        for (int order = 0; order < 3; ++order) {
+          std::vector<std::pair<NodeId, NodeId>> links;
+          for (NodeId a = 0; a < users1; ++a) {
+            for (NodeId b = 0; b < users2; ++b) links.push_back({a, b});
+          }
+          if (order == 1) {
+            std::stable_sort(links.begin(), links.end(),
+                             [](const auto& p, const auto& q) {
+                               return p.second < q.second;
+                             });
+          }
+          if (order == 2) {
+            Rng rng(users1 * 1000 + users2);
+            rng.Shuffle(&links);
+          }
+          Fixture f = MakeFixture(users1, users2, links);
+          const std::vector<Pin> pins(links.size(), Pin::kFree);
+          for (bool tied : {true, false}) {
+            Vector scores(links.size());
+            for (size_t l = 0; l < links.size(); ++l) {
+              const auto& [u, v] = links[l];
+              // Centred, so threshold 0 admits about half the links.
+              const double fu = sign_f * (2.0 * u - (users1 - 1.0));
+              const double gv = sign_g * (2.0 * v - (users2 - 1.0));
+              scores(l) = tied ? fu + gv : fu * 2.0 * users2 + gv;
+            }
+            for (double threshold : {-kInf, 0.0}) {
+              SCOPED_TRACE(testing::Message()
+                           << users1 << "x" << users2 << " signs " << sign_f
+                           << "," << sign_g << " order " << order
+                           << " tied " << tied << " threshold "
+                           << threshold);
+              ASSERT_EQ(
+                  GreedySelect(scores, *f.index, pins, threshold).values(),
+                  ReferenceGreedy(scores, f, pins, threshold).values());
+              ++compared;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 6u * 4 * 3 * 2 * 2);
 }
 
 }  // namespace

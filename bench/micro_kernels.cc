@@ -7,13 +7,14 @@
 //   * default — Google Benchmark CLI (filters, repetitions, etc.);
 //   * --record=PATH — hand-timed record of the blocked-kernel speedups
 //     (incremental SpGEMM vs full recompute with its measured crossover
-//     sweep, tiled dense Gram/solve, and a serve shard's per-drain ridge
-//     refit), of the selection kernels (greedy selection and the conflict
-//     query round at 20,000 links, and greedy selection on separable
-//     scores over K_{143,143}) and of feature extraction (the offline
-//     fold's Extract and a bench-scale delta refresh), written as compact
-//     JSON. CI re-records it as BENCH_kernels.json; the committed copy is
-//     the PR's perf baseline.
+//     sweep), of the ridge kernels (RidgePrepared::Create and Predict at
+//     the offline fold's shape, the tiled dense solve, and a serve shard's
+//     per-drain ridge refit), of the selection kernels (greedy selection
+//     and the conflict query round at 20,000 links, and greedy selection
+//     on separable scores over K_{143,143}) and of feature extraction (the
+//     offline fold's Extract and a bench-scale delta refresh), written as
+//     compact JSON. CI re-records it as BENCH_kernels.json; the committed
+//     copy is the PR's perf baseline.
 
 #include <algorithm>
 #include <cstdio>
@@ -103,45 +104,68 @@ void BM_Hadamard(benchmark::State& state) {
 }
 BENCHMARK(BM_Hadamard)->Arg(1024)->Arg(4096);
 
-void BM_RidgeSolve(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t d = 30;
+// The shape of an offline fold's meta-diagram design matrix: the bias in
+// the last of d columns, half the rows bias-only, and in the other half
+// each feature present with probability 0.05 (at least one per row), so
+// ~6% of the entries are nonzero.
+Matrix RidgeBenchDesign(size_t rows, size_t d) {
   Rng rng(5);
   Matrix x(rows, d);
   for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < d; ++j) x(i, j) = rng.UniformDouble();
+    x(i, d - 1) = 1.0;
+    if (rng.Bernoulli(0.5)) continue;
+    bool any = false;
+    for (size_t j = 0; j + 1 < d; ++j) {
+      if (!rng.Bernoulli(0.05)) continue;
+      x(i, j) = rng.UniformDouble();
+      any = true;
+    }
+    if (!any) x(i, rng.UniformInt(d - 1)) = rng.UniformDouble();
   }
-  auto solver = RidgeSolver::Create(x, 1.0);
+  return x;
+}
+
+Vector RidgeBenchLabels(size_t rows) {
+  Rng rng(6);
   Vector y(rows);
   for (size_t i = 0; i < rows; ++i) y(i) = rng.Bernoulli(0.02) ? 1.0 : 0.0;
+  return y;
+}
+
+void BM_RidgeSolve(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  auto solver = RidgeSolver::Create(RidgeBenchDesign(rows, 30), 1.0);
+  const Vector y = RidgeBenchLabels(rows);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.value().Solve(y));
   }
 }
 BENCHMARK(BM_RidgeSolve)->Arg(2000)->Arg(20000);
 
+// Scores Xw, once per inner alternation step, at the offline fold's
+// |H| = 20,400.
+void BM_RidgePredict(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  auto solver = RidgeSolver::Create(RidgeBenchDesign(rows, 30), 1.0);
+  const Vector w = solver.value().Solve(RidgeBenchLabels(rows));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.value().Predict(w));
+  }
+}
+BENCHMARK(BM_RidgePredict)->Arg(20400);
+
 // The ridge cost of one full ActiveIter run: budget 100, batch 5 → 21
 // external rounds against a fixed |H| × 30 design matrix. The pre-session
-// engine rebuilt the O(|H|·d²) Gram and its Cholesky factorisation every
-// round; the AlignmentSession path prepares once and only re-solves. Same
-// arithmetic per solve, so the gap is pure factorisation reuse.
+// engine rebuilt the compressed X, its Gram and its Cholesky factorisation
+// every round; the AlignmentSession path prepares once and only
+// re-solves. Same arithmetic per solve, so the gap is pure preparation
+// reuse.
 constexpr size_t kActiveIterRounds = 21;
-
-Matrix RidgeBenchDesign(size_t rows, size_t d) {
-  Rng rng(5);
-  Matrix x(rows, d);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < d; ++j) x(i, j) = rng.UniformDouble();
-  }
-  return x;
-}
 
 void BM_RidgeRefactorPerRound(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   Matrix x = RidgeBenchDesign(rows, 30);
-  Rng rng(6);
-  Vector y(rows);
-  for (size_t i = 0; i < rows; ++i) y(i) = rng.Bernoulli(0.02) ? 1.0 : 0.0;
+  const Vector y = RidgeBenchLabels(rows);
   for (auto _ : state) {
     for (size_t round = 0; round < kActiveIterRounds; ++round) {
       auto solver = RidgeSolver::Create(x, 1.0);
@@ -158,9 +182,7 @@ BENCHMARK(BM_RidgeRefactorPerRound)
 void BM_RidgePrepareOnce(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   Matrix x = RidgeBenchDesign(rows, 30);
-  Rng rng(6);
-  Vector y(rows);
-  for (size_t i = 0; i < rows; ++i) y(i) = rng.Bernoulli(0.02) ? 1.0 : 0.0;
+  const Vector y = RidgeBenchLabels(rows);
   for (auto _ : state) {
     RidgePrepared prepared = RidgePrepared::Create(x);
     auto solver = prepared.SolverFor(1.0);
@@ -309,6 +331,10 @@ struct SelectionFixture {
   Vector scores;
   std::vector<Pin> pins;
 
+  /// `links` random links scored in the offline workload's shape: half
+  /// of them tie at one score, as the bias-only rows of a fold's X all
+  /// score exactly w_bias, and the rest are uniform around that tie with
+  /// 0.8% below the threshold 0, so 99.6% of the links are above it.
   explicit SelectionFixture(size_t users, size_t links) : pair(Nets(users)) {
     Rng rng(6);
     for (size_t k = 0; k < links; ++k) {
@@ -317,8 +343,10 @@ struct SelectionFixture {
     }
     index = std::make_unique<IncidenceIndex>(pair, candidates);
     scores = Vector(candidates.size());
+    constexpr double kBiasOnlyScore = 0.5;
     for (size_t k = 0; k < candidates.size(); ++k) {
-      scores(k) = rng.UniformDouble() - 0.4;
+      scores(k) = rng.Bernoulli(0.5) ? kBiasOnlyScore
+                                     : rng.UniformDouble() - 0.008;
     }
     pins.assign(candidates.size(), Pin::kFree);
   }
@@ -554,24 +582,33 @@ int RunRecord(const std::string& path) {
     }
   }
 
-  // Tiled dense kernels at ridge-engine shapes.
-  Matrix design = RidgeBenchDesign(8192, 30);
-  const double gram_ms = TimeMs(5, 4, [&] { (void)design.Gram(); });
+  // The ridge kernels at the offline fold's shape: RidgePrepared::Create
+  // (compress the rows, transpose them, form the Gram) and one Predict.
+  const size_t prepare_rows = 20400;
+  const Matrix design = RidgeBenchDesign(prepare_rows, 30);
+  const double prepare_ms =
+      TimeMs(5, 4, [&] { (void)RidgePrepared::Create(design); });
+  auto design_solver = RidgePrepared::Create(design).SolverFor(1.0);
+  const Vector weights =
+      design_solver.value().Solve(RidgeBenchLabels(prepare_rows));
+  const double predict_ms =
+      TimeMs(5, 20, [&] { (void)design_solver.value().Predict(weights); });
   Matrix spd = BenchSpd(256, 48);
   auto factor = CholeskyFactor::Factor(spd);
   Matrix rhs = BenchPanel(128, 256, 49).Transpose();  // 256×128 RHS block
   const double solve_ms =
       TimeMs(5, 4, [&] { (void)factor.value().SolveMatrix(rhs); });
   // A serve shard's per-drain refit at its operating point (~4,800 rows
-  // of d = 30): one Gram product plus one factorisation of I + cG.
+  // of d = 30): one RidgePrepared::Create plus one factorisation of
+  // I + cG.
   Matrix shard_design = RidgeBenchDesign(4800, 30);
   const double refit_ms = TimeMs(5, 20, [&] {
     (void)RidgePrepared::Create(shard_design).SolverFor(1.0);
   });
   std::fprintf(stderr,
-               "dense    gram 8192x30 %.3f ms, solve 256x128rhs %.3f ms, "
-               "refit 4800x30 %.3f ms\n",
-               gram_ms, solve_ms, refit_ms);
+               "dense    prepare %zux30 %.3f ms, predict %.3f ms, solve "
+               "256x128rhs %.3f ms, refit 4800x30 %.3f ms\n",
+               prepare_rows, prepare_ms, predict_ms, solve_ms, refit_ms);
 
   // Label inference and the conflict query round at 500 users per side.
   const size_t selection_users = 500;
@@ -629,11 +666,11 @@ int RunRecord(const std::string& path) {
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"spgemm_crossover_fraction\": %.3f,\n", crossover);
   std::fprintf(out,
-               "  \"dense\": {\"gram_rows\": 8192, \"gram_d\": 30, "
-               "\"gram_ms\": %.4f, \"solve_dim\": 256, \"solve_nrhs\": 128, "
-               "\"solve_ms\": %.4f, \"refit_rows\": 4800, \"refit_ms\": "
-               "%.4f},\n",
-               gram_ms, solve_ms, refit_ms);
+               "  \"dense\": {\"prepare_rows\": %zu, \"prepare_d\": 30, "
+               "\"prepare_ms\": %.4f, \"predict_ms\": %.4f, "
+               "\"solve_dim\": 256, \"solve_nrhs\": 128, \"solve_ms\": %.4f, "
+               "\"refit_rows\": 4800, \"refit_ms\": %.4f},\n",
+               prepare_rows, prepare_ms, predict_ms, solve_ms, refit_ms);
   std::fprintf(out,
                "  \"selection\": {\"users\": %zu, \"links\": %zu, "
                "\"greedy_ms\": %.4f, \"conflict_query_ms\": %.4f, "

@@ -13,7 +13,7 @@ Result<AlignmentSession> AlignmentSession::Create(const Matrix& x,
       std::make_shared<RidgePrepared>(RidgePrepared::Create(x, pool));
   auto solver = prepared->SolverFor(c);
   if (!solver.ok()) return solver.status();
-  return AlignmentSession(&x, &index, std::move(prepared),
+  return AlignmentSession(&index, std::move(prepared),
                           std::move(solver).value());
 }
 
@@ -23,14 +23,13 @@ Result<AlignmentSession> AlignmentSession::CreateFromPrepared(
   if (prepared == nullptr) {
     return Status::InvalidArgument("prepared state must be non-null");
   }
-  if (index.candidate_count() != prepared->x().rows()) {
+  if (index.candidate_count() != prepared->num_rows()) {
     return Status::InvalidArgument(
         "incidence index size must match feature rows");
   }
   auto solver = prepared->SolverFor(c);
   if (!solver.ok()) return solver.status();
-  const Matrix* x = &prepared->x();
-  return AlignmentSession(x, &index, std::move(prepared),
+  return AlignmentSession(&index, std::move(prepared),
                           std::move(solver).value());
 }
 

@@ -5,9 +5,10 @@
 // rounds only the pin state changes. AlignmentSession splits those two
 // lifetimes apart:
 //
-//   problem-invariant — the design matrix view, its factored ridge system
-//     (Gram product + per-c Cholesky, built exactly once by Prepare()),
-//     and the incidence index view;
+//   problem-invariant — the factored ridge system (X's stored entries
+//     compressed by rows and by columns, the Gram product and the per-c
+//     Cholesky, built exactly once by Prepare()) and the incidence index
+//     view;
 //   per-round — the pin state (L+ plus queried labels), cheap to mutate
 //     or reset between runs.
 //
@@ -15,6 +16,12 @@
 // session performs exactly one Gram/Cholesky factorisation instead of one
 // per round, with bitwise-identical results; FoldRunner shares one session
 // per (feature set, c) across all PU methods of a fold.
+//
+// Every inner step of the alternation costs O(nnz(X)) in the solver, not
+// O(|H|·d): Xᵀy walks the stored entries of the labelled rows and Xw the
+// column copy (ridge.h states the costs and why the results stay bitwise
+// the dense loops' for finite labels and weights). The session keeps no
+// view of the dense X, which may be destroyed once Create returns.
 
 #ifndef ACTIVEITER_ALIGN_SESSION_H_
 #define ACTIVEITER_ALIGN_SESSION_H_
@@ -32,15 +39,16 @@ namespace activeiter {
 class ThreadPool;
 
 /// Prepared solver state plus mutable pin state for one alignment run (or
-/// a sequence of runs over the same X and c). `x` and `index` must outlive
-/// the session; both are borrowed, the pin state is owned.
+/// a sequence of runs over the same X and c). `index` must outlive the
+/// session (it is borrowed); the compressed X and the pin state are owned.
 class AlignmentSession {
  public:
-  /// Builds the session: one Gram product (pool-parallel when `pool` is
-  /// given, bitwise-equal to serial) and one Cholesky factorisation of
-  /// I + cXᵀX. Pins start kFree. A changed design matrix needs a new
-  /// session: the serve layer re-creates its session once per drain, so a
-  /// served model is always exactly what this call forms from scratch.
+  /// Builds the session: X compressed by rows (row blocks over `pool` when
+  /// given, identical to serial) and by columns, one Gram product and one
+  /// Cholesky factorisation of I + cXᵀX. Pins start kFree. A changed
+  /// design matrix needs a new session: the serve layer re-creates its
+  /// session once per drain, so a served model is always exactly what this
+  /// call forms from scratch.
   static Result<AlignmentSession> Create(const Matrix& x,
                                          const IncidenceIndex& index,
                                          double c,
@@ -48,13 +56,12 @@ class AlignmentSession {
 
   /// Derives a session from an existing prepared Gram: one Cholesky
   /// factorisation, zero passes over X (e.g. a fold's sessions that differ
-  /// only in c share one Gram).
+  /// only in c share one compressed X and one Gram).
   static Result<AlignmentSession> CreateFromPrepared(
       std::shared_ptr<RidgePrepared> prepared, const IncidenceIndex& index,
       double c);
 
   // --- problem-invariant state ---
-  const Matrix& x() const { return *x_; }
   const IncidenceIndex& index() const { return *index_; }
   double c() const { return solver_.c(); }
   /// The factored ridge system (shared by every round).
@@ -67,7 +74,7 @@ class AlignmentSession {
     return prepared_;
   }
   /// |H|: number of candidate links.
-  size_t size() const { return x_->rows(); }
+  size_t size() const { return solver_.num_rows(); }
 
   // --- per-round state ---
   const std::vector<Pin>& pinned() const { return pinned_; }
@@ -77,16 +84,14 @@ class AlignmentSession {
   void SetPin(size_t link_id, Pin pin);
 
  private:
-  AlignmentSession(const Matrix* x, const IncidenceIndex* index,
+  AlignmentSession(const IncidenceIndex* index,
                    std::shared_ptr<RidgePrepared> prepared,
                    RidgeSolver solver)
-      : x_(x),
-        index_(index),
+      : index_(index),
         prepared_(std::move(prepared)),
         solver_(std::move(solver)),
-        pinned_(x->rows(), Pin::kFree) {}
+        pinned_(solver_.num_rows(), Pin::kFree) {}
 
-  const Matrix* x_;
   const IncidenceIndex* index_;
   std::shared_ptr<RidgePrepared> prepared_;  // shared across same-Gram peers
   RidgeSolver solver_;
@@ -105,7 +110,8 @@ struct AlignmentProblem {
   Status Validate() const;
 
   /// Builds a session for ridge weight `c` seeded with this problem's pin
-  /// state. The problem's `x`/`index` must outlive the session.
+  /// state. The problem's `index` must outlive the session; `x` is read
+  /// only during this call.
   Result<AlignmentSession> Prepare(double c,
                                    ThreadPool* pool = nullptr) const;
 };

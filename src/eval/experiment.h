@@ -93,10 +93,10 @@ class FoldRunner {
   /// Prepared session for a (feature set, word extension, ridge c); the
   /// factorisation is built on first use and shared by every later PU run
   /// with the same key. Sessions that differ only in c share one
-  /// RidgePrepared per (feature set, word extension): the O(|H|·d²) Gram
-  /// is computed once per fold per feature matrix, each c adds only its
-  /// own O(d³) factorisation. Pins are whatever the last run left —
-  /// callers reset them. Fails only on a singular ridge system.
+  /// RidgePrepared per (feature set, word extension): the compressed X
+  /// and its Gram are built once per fold per feature matrix, each c adds
+  /// only its own O(d³) factorisation. Pins are whatever the last run
+  /// left — callers reset them. Fails only on a singular ridge system.
   Result<AlignmentSession*> SessionFor(FeatureSet set, bool include_word_path,
                                        double c);
 
@@ -114,7 +114,8 @@ class FoldRunner {
   IncidenceIndex index_;
   // Cache slots indexed by (feature set, word extension).
   std::optional<Matrix> features_[2][2];
-  // One Gram per feature matrix, shared by every c (same slots).
+  // One compressed X and Gram per feature matrix, shared by every c (same
+  // slots).
   std::shared_ptr<RidgePrepared> prepared_[2][2];
   // Prepared sessions keyed by (feature slot, word slot, c). unique_ptr
   // keeps session addresses stable while the vector grows.

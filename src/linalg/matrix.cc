@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/thread_pool.h"
-
 namespace activeiter {
 
 Matrix Matrix::Identity(size_t n) {
@@ -90,35 +88,11 @@ Matrix Matrix::MatMul(const Matrix& other) const {
 Vector Matrix::MatVec(const Vector& v) const {
   ACTIVEITER_CHECK_MSG(cols_ == v.size(), "MatVec shape mismatch");
   Vector out(rows_);
-  // Four rows per pass share each load of v and keep four independent
-  // add chains in flight. Every row still sums from 0.0 in ascending
-  // column order, so each entry is bitwise the row's serial dot product.
-  const double* x = v.data();
-  double* dst = out.data();
-  size_t i = 0;
-  for (; i + 4 <= rows_; i += 4) {
-    const double* r0 = data_.data() + i * cols_;
-    const double* r1 = r0 + cols_;
-    const double* r2 = r1 + cols_;
-    const double* r3 = r2 + cols_;
-    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (size_t j = 0; j < cols_; ++j) {
-      const double xj = x[j];
-      acc0 += r0[j] * xj;
-      acc1 += r1[j] * xj;
-      acc2 += r2[j] * xj;
-      acc3 += r3[j] * xj;
-    }
-    dst[i] = acc0;
-    dst[i + 1] = acc1;
-    dst[i + 2] = acc2;
-    dst[i + 3] = acc3;
-  }
-  for (; i < rows_; ++i) {
-    const double* a_row = data_.data() + i * cols_;
+  for (size_t i = 0; i < rows_; ++i) {
+    const double* a_row = row_data(i);
     double acc = 0.0;
-    for (size_t j = 0; j < cols_; ++j) acc += a_row[j] * x[j];
-    dst[i] = acc;
+    for (size_t j = 0; j < cols_; ++j) acc += a_row[j] * v(j);
+    out(i) = acc;
   }
   return out;
 }
@@ -135,52 +109,14 @@ Vector Matrix::TransposeMatVec(const Vector& v) const {
   return out;
 }
 
-Matrix Matrix::Gram(ThreadPool* pool) const {
+Matrix Matrix::Gram() const {
   Matrix out(cols_, cols_);
-  // Each task owns output rows [jb, je) of the upper triangle and scans the
-  // design rows in the same i = 0..rows order as the serial build, so every
-  // entry sums in the identical floating-point order regardless of pool.
-  //
-  // Rows are consumed in contiguous panels of 4 (one L1-resident tile of
-  // row-major storage), and the inner micro-kernel accumulates the panel's
-  // four contributions into each output entry with separate sequential
-  // adds — the per-entry floating-point order stays exactly ascending-i,
-  // so the tiling is bitwise-neutral while the k-loop vectorises over
-  // contiguous row data with no bounds-checked dispatch.
-  constexpr size_t kRowPanel = 4;
-  ThreadPool::ParallelForRanges(pool, cols_, [&](size_t jb, size_t je) {
-    size_t i = 0;
-    for (; i + kRowPanel <= rows_; i += kRowPanel) {
-      const double* r0 = row_data(i);
-      const double* r1 = row_data(i + 1);
-      const double* r2 = row_data(i + 2);
-      const double* r3 = row_data(i + 3);
-      for (size_t j = jb; j < je; ++j) {
-        const double a0 = r0[j], a1 = r1[j], a2 = r2[j], a3 = r3[j];
-        // Zero contributions add exactly nothing (the accumulator is never
-        // -0.0), so skipping an all-zero panel column is bitwise-safe.
-        if (a0 == 0.0 && a1 == 0.0 && a2 == 0.0 && a3 == 0.0) continue;
-        double* out_row = out.row_data(j);
-        for (size_t k = j; k < cols_; ++k) {
-          double acc = out_row[k];
-          acc += a0 * r0[k];
-          acc += a1 * r1[k];
-          acc += a2 * r2[k];
-          acc += a3 * r3[k];
-          out_row[k] = acc;
-        }
-      }
+  for (size_t i = 0; i < rows_; ++i) {
+    const double* a_row = row_data(i);
+    for (size_t j = 0; j < cols_; ++j) {
+      for (size_t k = j; k < cols_; ++k) out(j, k) += a_row[j] * a_row[k];
     }
-    for (; i < rows_; ++i) {
-      const double* a_row = row_data(i);
-      for (size_t j = jb; j < je; ++j) {
-        const double aj = a_row[j];
-        if (aj == 0.0) continue;
-        double* out_row = out.row_data(j);
-        for (size_t k = j; k < cols_; ++k) out_row[k] += aj * a_row[k];
-      }
-    }
-  });
+  }
   // Mirror the upper triangle.
   for (size_t j = 0; j < cols_; ++j) {
     for (size_t k = j + 1; k < cols_; ++k) out(k, j) = out(j, k);

@@ -16,8 +16,6 @@
 
 namespace activeiter {
 
-class ThreadPool;
-
 /// Dense row-major matrix with bounds-checked access.
 class Matrix {
  public:
@@ -76,25 +74,17 @@ class Matrix {
   /// this · other (dimension-checked).
   Matrix MatMul(const Matrix& other) const;
 
-  /// this · v (dimension-checked). Rows are processed four at a time,
-  /// but entry i is bitwise Row(i).Dot(v): each row sums in ascending
-  /// column order.
+  /// this · v (dimension-checked): each row sums in ascending column order
+  /// from 0.0, so entry i is bitwise Row(i).Dot(v).
   Vector MatVec(const Vector& v) const;
 
   /// thisᵀ · v, computed without materialising the transpose.
   Vector TransposeMatVec(const Vector& v) const;
 
-  /// Gram matrix thisᵀ·this (cols×cols), the hot input of ridge regression.
-  Matrix Gram() const { return Gram(nullptr); }
-
-  /// Pooled Gram build: output columns are partitioned across the pool
-  /// while every task walks the rows in order, so each entry accumulates
-  /// in exactly the serial order — the result is bitwise-identical to
-  /// Gram() for any pool. Rows stream through a 4-row register-tiled
-  /// micro-kernel over raw contiguous panels; each panel row is still
-  /// added per-entry in ascending row order, so the tiling is
-  /// bitwise-neutral too.
-  Matrix Gram(ThreadPool* pool) const;
+  /// Gram matrix thisᵀ·this (cols×cols): entry (j, k) sums x_ij·x_ik over
+  /// the rows i in ascending order from 0.0. The ridge forms it from
+  /// compressed rows instead; this loop is the reference it matches.
+  Matrix Gram() const;
 
   Matrix operator+(const Matrix& other) const;
   Matrix operator-(const Matrix& other) const;

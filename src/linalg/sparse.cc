@@ -91,19 +91,6 @@ SparseMatrix SparseMatrix::FromCsrUnchecked(size_t rows, size_t cols,
 #endif
 }
 
-SparseMatrix SparseMatrix::FromDense(const Matrix& dense, double tolerance) {
-  std::vector<Triplet> trips;
-  for (size_t i = 0; i < dense.rows(); ++i) {
-    for (size_t j = 0; j < dense.cols(); ++j) {
-      double v = dense(i, j);
-      if (std::abs(v) > tolerance) {
-        trips.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), v});
-      }
-    }
-  }
-  return FromTriplets(dense.rows(), dense.cols(), std::move(trips));
-}
-
 SparseMatrix SparseMatrix::Identity(size_t n) {
   std::vector<Triplet> trips;
   trips.reserve(n);

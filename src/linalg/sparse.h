@@ -58,9 +58,6 @@ class SparseMatrix {
                                        std::vector<uint32_t> col_idx,
                                        std::vector<double> values);
 
-  /// Builds from a dense matrix, dropping entries with |v| <= tolerance.
-  static SparseMatrix FromDense(const Matrix& dense, double tolerance = 0.0);
-
   /// Identity matrix.
   static SparseMatrix Identity(size_t n);
 

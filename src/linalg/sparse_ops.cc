@@ -303,6 +303,42 @@ SparseMatrix Transpose(const SparseMatrix& a, ThreadPool* pool) {
                                         std::move(out_val));
 }
 
+SparseMatrix CompressDense(const Matrix& dense, ThreadPool* pool) {
+  const size_t rows = dense.rows();
+  const size_t cols = dense.cols();
+  if (rows == 0) return SparseMatrix(rows, cols);
+  const size_t num_blocks = NumRowBlocks(rows, pool);
+  std::vector<CsrBlock> blocks(num_blocks);
+  ThreadPool::ParallelFor(pool, num_blocks, [&](size_t c) {
+    const size_t begin = BlockBegin(rows, num_blocks, c);
+    const size_t end = BlockBegin(rows, num_blocks, c + 1);
+    CsrBlock& block = blocks[c];
+    block.row_nnz.resize(end - begin);
+    // Branch-free compaction: every entry is written to the next free slot,
+    // which advances only past a nonzero, so the arrays keep `cols` slots
+    // of room beyond the `kept` entries while a row is scanned.
+    size_t kept = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const double* row = dense.row_data(i);
+      block.cols.resize(kept + cols);
+      block.vals.resize(kept + cols);
+      uint32_t* out_col = block.cols.data();
+      double* out_val = block.vals.data();
+      const size_t row_begin = kept;
+      for (size_t j = 0; j < cols; ++j) {
+        const double v = row[j];
+        out_col[kept] = static_cast<uint32_t>(j);
+        out_val[kept] = v;
+        kept += v != 0.0;
+      }
+      block.row_nnz[i - begin] = kept - row_begin;
+    }
+    block.cols.resize(kept);
+    block.vals.resize(kept);
+  });
+  return StitchBlocks(rows, cols, std::move(blocks), pool);
+}
+
 SparseMatrix Hadamard(const SparseMatrix& a, const SparseMatrix& b,
                       ThreadPool* pool) {
   ACTIVEITER_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),

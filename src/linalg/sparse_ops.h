@@ -29,6 +29,11 @@ SparseMatrix SpGemm(const SparseMatrix& a, const SparseMatrix& b,
 /// stable scatter) when `pool` is non-null; output is identical either way.
 SparseMatrix Transpose(const SparseMatrix& a, ThreadPool* pool = nullptr);
 
+/// The entries of `dense` that compare unequal to 0.0, in CSR: ±0 are
+/// dropped, NaN is kept. One pass over the dense storage, O(rows × cols);
+/// row-blocked across `pool` when non-null, with identical output.
+SparseMatrix CompressDense(const Matrix& dense, ThreadPool* pool = nullptr);
+
 /// Delta-bounded incremental SpGEMM. Recomputes only the output rows
 /// listed in `rows` (sorted, unique, < a.rows()) with the exact Gustavson
 /// per-row kernel of SpGemm and splices every other row unchanged from

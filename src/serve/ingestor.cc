@@ -180,9 +180,9 @@ void ModelShard::PinLabeled(const FeaturePlane& plane, size_t first) {
 }
 
 Status ModelShard::Publish() {
-  // The refit forms G = XᵀX and L = chol(I + cG) exactly as a fresh batch
-  // build does (serially: the shards already run in parallel), so the
-  // served model is bitwise a fresh build's.
+  // The refit compresses X and forms G = XᵀX and L = chol(I + cG) exactly
+  // as a fresh batch build does (serially: the shards already run in
+  // parallel), so the served model is bitwise a fresh build's.
   auto session = [&] {
     TraceSpan span(options_.obs.tracer, "ingest.refit");
     return AlignmentSession::Create(x_, *index_, options_.serve.ridge_c);

@@ -25,9 +25,11 @@
 //                                dirty feature columns moved are
 //                                overwritten in place; new candidates
 //                                append a row from the proximity tables)
-//   4. refit                    (AlignmentSession::Create over X: one Gram
-//                                product and one Cholesky factorisation of
-//                                I + cG, trivial at d ≈ 30)
+//   4. refit                    (AlignmentSession::Create over X: X
+//                                compressed by rows and by columns, one
+//                                Gram product and one Cholesky
+//                                factorisation of I + cG, trivial at
+//                                d ≈ 30)
 //   5. re-run the PU alternation (IterAligner against the refit session)
 //   6. BuildSnapshot + Publish  (atomic epoch swap in the service)
 //
@@ -233,8 +235,9 @@ class ModelShard {
  private:
   /// Pins the candidates in [first, size) that ARE a train anchor (L+).
   void PinLabeled(const FeaturePlane& plane, size_t first);
-  /// Refits a session over X (one Gram product, one factorisation), runs
-  /// the PU alternation against it and publishes the next snapshot.
+  /// Refits a session over X (X compressed, one Gram product, one
+  /// factorisation), runs the PU alternation against it and publishes the
+  /// next snapshot.
   Status Publish();
 
   CandidateLinkSet candidates_;

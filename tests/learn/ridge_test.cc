@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 
@@ -143,7 +150,7 @@ TEST(RidgePreparedTest, GramIsDesignGram) {
   Matrix x = RandomDesign(12, 4, 14);
   RidgePrepared prepared = RidgePrepared::Create(x);
   EXPECT_EQ(Matrix::MaxAbsDiff(prepared.gram(), x.Gram()), 0.0);
-  EXPECT_EQ(&prepared.x(), &x);
+  EXPECT_EQ(prepared.num_rows(), 12u);
 }
 
 TEST(RidgePreparedTest, PooledPreparationBitwiseEqualsSerial) {
@@ -162,6 +169,194 @@ TEST(RidgePreparedTest, PooledPreparationBitwiseEqualsSerial) {
   Vector a = ws.value().Solve(y);
   Vector b = wp.value().Solve(y);
   for (size_t j = 0; j < a.size(); ++j) EXPECT_EQ(a(j), b(j));
+}
+
+// --- Differential tests: the compressed kernels against the dense loops ---
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameBits(const Vector& got, const Vector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(SameBits(got(i), want(i)))
+        << "entry " << i << ": " << got(i) << " vs " << want(i);
+  }
+}
+
+void ExpectSameBits(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (size_t i = 0; i < got.rows(); ++i) {
+    for (size_t j = 0; j < got.cols(); ++j) {
+      EXPECT_TRUE(SameBits(got(i, j), want(i, j)))
+          << "(" << i << ", " << j << "): " << got(i, j) << " vs "
+          << want(i, j);
+    }
+  }
+}
+
+/// A random value that is exactly zero, negative zero or a signed normal
+/// draw, a third each.
+double SignedOrZero(Rng& rng) {
+  switch (rng.UniformInt(3)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    default:
+      return rng.Normal();
+  }
+}
+
+/// The design families the compressed kernels must reproduce bitwise.
+enum class Family {
+  kExactZeros,    // ~70% of entries exactly 0.0
+  kNegativeZero,  // entries drawn from {0.0, −0.0, normal}
+  kZeroRowsCols,  // whole rows and columns of zeros
+  kBiasOnlyHalf,  // trailing bias column, half the rows bias-only
+  kOneColumn,     // d = 1
+  kNoRows,        // |H| = 0
+};
+
+Matrix FamilyDesign(Family family, uint64_t seed) {
+  Rng rng(seed);
+  switch (family) {
+    case Family::kExactZeros: {
+      Matrix x(41, 6);
+      for (size_t i = 0; i < x.rows(); ++i) {
+        for (size_t j = 0; j < x.cols(); ++j) {
+          if (rng.Bernoulli(0.3)) x(i, j) = rng.Normal();
+        }
+      }
+      return x;
+    }
+    case Family::kNegativeZero: {
+      Matrix x(37, 5);
+      for (size_t i = 0; i < x.rows(); ++i) {
+        for (size_t j = 0; j < x.cols(); ++j) x(i, j) = SignedOrZero(rng);
+      }
+      return x;
+    }
+    case Family::kZeroRowsCols: {
+      Matrix x(30, 7);
+      for (size_t i = 0; i < x.rows(); ++i) {
+        if (i % 4 == 1) continue;  // all-zero row
+        for (size_t j = 0; j < x.cols(); ++j) {
+          if (j == 0 || j == 4) continue;  // all-zero columns
+          x(i, j) = rng.Bernoulli(0.5) ? rng.Normal() : -0.0;
+        }
+      }
+      return x;
+    }
+    case Family::kBiasOnlyHalf: {
+      Matrix x(64, 10);
+      for (size_t i = 0; i < x.rows(); ++i) {
+        x(i, 9) = 1.0;
+        if (rng.Bernoulli(0.5)) continue;
+        for (size_t j = 0; j < 9; ++j) {
+          if (rng.Bernoulli(0.15)) x(i, j) = rng.UniformDouble();
+        }
+      }
+      return x;
+    }
+    case Family::kOneColumn: {
+      Matrix x(25, 1);
+      for (size_t i = 0; i < x.rows(); ++i) x(i, 0) = SignedOrZero(rng);
+      return x;
+    }
+    case Family::kNoRows:
+      return Matrix(0, 4);
+  }
+  return Matrix();
+}
+
+/// Label or weight vectors of length n: signed draws with ±0.0 mixed in,
+/// {0, 1} labels, and all zeros (with one −0.0 among them).
+std::vector<Vector> SignedVectors(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Vector mixed(n), labels(n), zeros(n);
+  for (size_t i = 0; i < n; ++i) {
+    mixed(i) = SignedOrZero(rng);
+    labels(i) = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+  }
+  if (n > 0) zeros(n / 2) = -0.0;
+  return {mixed, labels, zeros};
+}
+
+class CompressedKernelTest : public ::testing::TestWithParam<Family> {};
+
+TEST_P(CompressedKernelTest, BitwiseEqualsDenseLoops) {
+  const Matrix x = FamilyDesign(GetParam(), 31);
+  const double c = 1.7;
+  ThreadPool pool(3);
+  RidgePrepared serial = RidgePrepared::Create(x);
+  RidgePrepared pooled = RidgePrepared::Create(x, &pool);
+  ExpectSameBits(serial.gram(), x.Gram());
+  ExpectSameBits(pooled.gram(), x.Gram());
+
+  Matrix a = x.Gram() * c;
+  a.AddDiagonal(1.0);
+  auto reference = CholeskyFactor::Factor(a);
+  ASSERT_TRUE(reference.ok());
+  for (const RidgePrepared* prepared : {&serial, &pooled}) {
+    auto solver = prepared->SolverFor(c);
+    ASSERT_TRUE(solver.ok());
+    ASSERT_EQ(solver.value().num_rows(), x.rows());
+    ASSERT_EQ(solver.value().num_features(), x.cols());
+    for (const Vector& y : SignedVectors(x.rows(), 32)) {
+      Vector want = reference.value().Solve(x.TransposeMatVec(y));
+      want *= c;
+      ExpectSameBits(solver.value().Solve(y), want);
+    }
+    for (const Vector& w : SignedVectors(x.cols(), 33)) {
+      ExpectSameBits(solver.value().Predict(w), x.MatVec(w));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, CompressedKernelTest,
+    ::testing::Values(Family::kExactZeros, Family::kNegativeZero,
+                      Family::kZeroRowsCols, Family::kBiasOnlyHalf,
+                      Family::kOneColumn, Family::kNoRows));
+
+TEST(RidgeSolverTest, NonFiniteEntryFailsSolverFor) {
+  const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  const Matrix base = FamilyDesign(Family::kBiasOnlyHalf, 34);
+  // The first entry, a middle feature entry and the last row's bias.
+  const std::pair<size_t, size_t> kPlaces[] = {
+      {0, 0}, {base.rows() / 2, 4}, {base.rows() - 1, base.cols() - 1}};
+  for (double v : kNonFinite) {
+    for (const auto& [i, j] : kPlaces) {
+      Matrix x = base;
+      x(i, j) = v;
+      auto solver = RidgePrepared::Create(x).SolverFor(1.0);
+      ASSERT_FALSE(solver.ok()) << v << " at (" << i << ", " << j << ")";
+      EXPECT_NE(solver.status().message().find("not positive definite"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(RidgeSolverTest, OutlivesItsDesignMatrix) {
+  auto x = std::make_unique<Matrix>(FamilyDesign(Family::kBiasOnlyHalf, 35));
+  const Matrix copy = *x;
+  auto solver = RidgeSolver::Create(*x, 2.0);
+  ASSERT_TRUE(solver.ok());
+  x.reset();  // the solver keeps only its compressed copies
+
+  auto reference = RidgeSolver::Create(copy, 2.0);
+  ASSERT_TRUE(reference.ok());
+  for (const Vector& y : SignedVectors(copy.rows(), 36)) {
+    ExpectSameBits(solver.value().Solve(y), reference.value().Solve(y));
+  }
+  for (const Vector& w : SignedVectors(copy.cols(), 37)) {
+    ExpectSameBits(solver.value().Predict(w), copy.MatVec(w));
+  }
 }
 
 // Property sweep: paper closed form w = c(I + cXᵀX)⁻¹Xᵀy holds for many c.

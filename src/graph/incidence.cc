@@ -59,9 +59,10 @@ IncidenceIndex::IncidenceIndex(const AlignedPair& pair,
   }
 }
 
-void IncidenceIndex::SyncWithCandidates(const AlignedPair& pair) {
-  users_first_ = pair.first().NodeCount(NodeType::kUser);
-  users_second_ = pair.second().NodeCount(NodeType::kUser);
+void IncidenceIndex::SyncWithCandidates(size_t users_first,
+                                        size_t users_second) {
+  users_first_ = users_first;
+  users_second_ = users_second;
   ACTIVEITER_CHECK_MSG(
       users_first_ >= by_first_.size() && users_second_ >= by_second_.size(),
       "user universes may only grow");

@@ -78,12 +78,13 @@ class IncidenceIndex {
   IncidenceIndex(const AlignedPair& pair, const CandidateLinkSet& candidates);
 
   /// Catches the index up with growth: re-sizes the per-user link lists to
-  /// the pair's current user universes and indexes every candidate
-  /// appended to the (borrowed) candidate set since construction or the
-  /// last sync. O(new users + new links); existing lists are untouched.
-  /// Shrinkage must flow through RemoveCandidates + CompactWith first —
-  /// a candidate set that shrank behind the index's back is a CHECK.
-  void SyncWithCandidates(const AlignedPair& pair);
+  /// the given user universes (the two networks' user counts, which may
+  /// only grow) and indexes every candidate appended to the (borrowed)
+  /// candidate set since construction or the last sync. O(new users + new
+  /// links); existing lists are untouched. Shrinkage must flow through
+  /// RemoveCandidates + CompactWith first — a candidate set that shrank
+  /// behind the index's back is a CHECK.
+  void SyncWithCandidates(size_t users_first, size_t users_second);
 
   /// Validates and tombstones candidates: every id must be in range and
   /// not already removed; duplicate ids within one call are an error.

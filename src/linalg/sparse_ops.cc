@@ -502,12 +502,10 @@ Vector SpMv(const SparseMatrix& a, const Vector& x) {
 }
 
 SparseMatrix Binarize(const SparseMatrix& a) {
-  std::vector<Triplet> trips;
-  trips.reserve(a.nnz());
-  a.ForEach([&](size_t i, size_t j, double) {
-    trips.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), 1.0});
-  });
-  return SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(trips));
+  // a's rows are sorted and unique already: keep its structure as is.
+  return SparseMatrix::FromCsrUnchecked(a.rows(), a.cols(), a.row_ptr(),
+                                        a.col_idx(),
+                                        std::vector<double>(a.nnz(), 1.0));
 }
 
 SparseMatrix MaskBySupport(const SparseMatrix& a,

@@ -81,7 +81,8 @@ SparseMatrix Scale(const SparseMatrix& a, double alpha);
 /// y = A · x (dense result).
 Vector SpMv(const SparseMatrix& a, const Vector& x);
 
-/// Replaces every stored value with 1.0 (structure/support matrix).
+/// Replaces every stored value with 1.0 (structure/support matrix): the
+/// stored entries of `a`, an explicitly stored zero included, in O(nnz).
 SparseMatrix Binarize(const SparseMatrix& a);
 
 /// Keeps entry (i,j) of `a` only where `support` stores a nonzero.

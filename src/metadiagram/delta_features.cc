@@ -225,16 +225,17 @@ std::vector<size_t> DeltaFeatureExtractor::Refresh() {
   std::vector<std::shared_ptr<const ProximityScores>> computed(
       catalog_.size());
   for (size_t k = 0; k < catalog_.size(); ++k) {
-    if (is_dirty[k] || scores_.empty() || scores_[k] == nullptr) continue;
+    if (is_dirty[k] || tables_ == nullptr) continue;
     computed[k] = std::make_shared<ProximityScores>(
-        scores_[k]->PaddedTo(users_first, users_second));
+        tables_->table(k).PaddedTo(users_first, users_second));
   }
   ThreadPool::ParallelFor(options_.pool, dirty_columns.size(), [&](size_t i) {
     const size_t k = dirty_columns[i];
     auto counts = evaluator.Evaluate(catalog_[k]);
     computed[k] = std::make_shared<ProximityScores>(*counts);
   });
-  scores_ = std::move(computed);
+  tables_ = std::make_shared<const ProximityTables>(
+      std::move(computed), users_first, users_second);
   initialised_ = true;
   PublishRefreshStatsDelta(before);
   return dirty_columns;
@@ -461,34 +462,33 @@ DeltaFeatureExtractor::RowUpdateDirtyRoots(const ProductPlanCache& old_cache) {
 
 Matrix DeltaFeatureExtractor::Extract(const CandidateLinkSet& candidates) {
   Refresh();
-  const size_t d = catalog_.size();
-  Matrix x(candidates.size(), d + 1);
-  for (size_t k = 0; k < d; ++k) {
-    Vector col = scores_[k]->ScoresFor(candidates);
+  Matrix x(candidates.size(), tables_->dimension());
+  for (size_t k = 0; k < tables_->dimension(); ++k) {
+    Vector col = tables_->Column(k, candidates);
     for (size_t i = 0; i < candidates.size(); ++i) x(i, k) = col(i);
   }
-  for (size_t i = 0; i < candidates.size(); ++i) x(i, d) = 1.0;  // bias
   return x;
 }
 
-Vector DeltaFeatureExtractor::Column(size_t k,
-                                     const CandidateLinkSet& candidates)
-    const {
+std::shared_ptr<const ProximityTables> DeltaFeatureExtractor::tables() const {
   ACTIVEITER_CHECK_MSG(initialised_ && !pending_refresh_,
-                       "Refresh() must run before Column()");
-  ACTIVEITER_CHECK(k <= catalog_.size());
-  if (k == catalog_.size()) return Vector::Ones(candidates.size());
+                       "Refresh() must run before tables()");
+  return tables_;
+}
+
+Vector ProximityTables::Column(size_t k,
+                               const CandidateLinkSet& candidates) const {
+  ACTIVEITER_CHECK(k <= scores_.size());
+  if (k == scores_.size()) return Vector::Ones(candidates.size());
   return scores_[k]->ScoresFor(candidates);
 }
 
-Vector DeltaFeatureExtractor::RowFor(NodeId u1, NodeId u2) const {
-  ACTIVEITER_CHECK_MSG(initialised_ && !pending_refresh_,
-                       "Refresh() must run before RowFor()");
-  Vector row(catalog_.size() + 1);
-  for (size_t k = 0; k < catalog_.size(); ++k) {
+Vector ProximityTables::RowFor(NodeId u1, NodeId u2) const {
+  Vector row(scores_.size() + 1);
+  for (size_t k = 0; k < scores_.size(); ++k) {
     row(k) = scores_[k]->Score(u1, u2);
   }
-  row(catalog_.size()) = 1.0;
+  row(scores_.size()) = 1.0;
   return row;
 }
 

@@ -52,10 +52,45 @@
 #include "src/graph/aligned_pair.h"
 #include "src/metadiagram/features.h"
 #include "src/metadiagram/product_plan.h"
+#include "src/metadiagram/proximity.h"
 #include "src/metadiagram/relation_matrices.h"
 #include "src/obs/metrics.h"
 
 namespace activeiter {
+
+/// One epoch's proximity tables: the Dice table of every catalog diagram
+/// and the user universes they span. Immutable: every Refresh() publishes
+/// a new object and never touches an old one, so a reader holding the
+/// tables of epoch N may keep reading them while the engine refreshes
+/// epoch N+1.
+class ProximityTables {
+ public:
+  ProximityTables(std::vector<std::shared_ptr<const ProximityScores>> scores,
+                  size_t users_first, size_t users_second)
+      : scores_(std::move(scores)),
+        users_first_(users_first),
+        users_second_(users_second) {}
+
+  /// Number of feature columns including the trailing bias column.
+  size_t dimension() const { return scores_.size() + 1; }
+  /// User universes of the two networks at this epoch.
+  size_t users_first() const { return users_first_; }
+  size_t users_second() const { return users_second_; }
+
+  /// Diagram k's table (k < dimension() - 1).
+  const ProximityScores& table(size_t k) const { return *scores_[k]; }
+
+  /// Column k for the given candidates (k == dimension() - 1 → bias ones).
+  Vector Column(size_t k, const CandidateLinkSet& candidates) const;
+
+  /// One feature row (bias included) for a single pair.
+  Vector RowFor(NodeId u1, NodeId u2) const;
+
+ private:
+  std::vector<std::shared_ptr<const ProximityScores>> scores_;
+  size_t users_first_;
+  size_t users_second_;
+};
 
 /// Feature extraction that survives graph deltas.
 class DeltaFeatureExtractor {
@@ -82,9 +117,6 @@ class DeltaFeatureExtractor {
   /// Feature names in column order (bias excluded).
   const std::vector<std::string>& feature_names() const { return names_; }
 
-  /// Number of feature columns including the trailing bias column.
-  size_t dimension() const { return catalog_.size() + 1; }
-
   /// Marks the relations touched by `delta` dirty. Call after
   /// pair.ApplyDelta(delta); cheap — all recomputation happens in
   /// Refresh().
@@ -97,17 +129,15 @@ class DeltaFeatureExtractor {
   /// when nothing was pending; all columns on the first call).
   std::vector<size_t> Refresh();
 
-  /// |H| × dimension() feature matrix over the current graph state
-  /// (bitwise-identical to a fresh FeatureExtractor). Runs Refresh()
-  /// implicitly when deltas are pending.
+  /// |H| × (feature_names().size() + 1) feature matrix over the current
+  /// graph state (bitwise-identical to a fresh FeatureExtractor). Runs
+  /// Refresh() implicitly when deltas are pending.
   Matrix Extract(const CandidateLinkSet& candidates);
 
-  /// Column k for the given candidates (k == catalog size → bias ones).
-  /// Refresh() must be up to date.
-  Vector Column(size_t k, const CandidateLinkSet& candidates) const;
-
-  /// One feature row (bias included) for a single pair.
-  Vector RowFor(NodeId u1, NodeId u2) const;
+  /// The tables the last Refresh() published. Refresh() must be up to
+  /// date; the returned tables stay valid (and unchanged) for as long as
+  /// the caller holds them.
+  std::shared_ptr<const ProximityTables> tables() const;
 
   const RefreshStats& stats() const { return stats_; }
 
@@ -151,7 +181,7 @@ class DeltaFeatureExtractor {
 
   std::unique_ptr<RelationContext> ctx_;
   std::unique_ptr<ProductPlanCache> cache_;
-  std::vector<std::shared_ptr<const ProximityScores>> scores_;
+  std::shared_ptr<const ProximityTables> tables_;
 
   bool initialised_ = false;
   bool pending_refresh_ = false;

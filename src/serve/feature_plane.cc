@@ -1,5 +1,7 @@
 #include "src/serve/feature_plane.h"
 
+#include <utility>
+
 namespace activeiter {
 
 FeaturePlane::FeaturePlane(AlignedPair pair,
@@ -7,16 +9,7 @@ FeaturePlane::FeaturePlane(AlignedPair pair,
                            FeatureExtractorOptions options)
     : pair_(std::move(pair)),
       train_anchors_(std::move(train_anchors)),
-      options_(std::move(options)),
-      extractor_(pair_, train_anchors_, options_) {}
-
-std::unique_ptr<FeaturePlane> FeaturePlane::Clone() const {
-  auto twin =
-      std::make_unique<FeaturePlane>(pair_, train_anchors_, options_);
-  twin->obs_ = obs_;
-  twin->Refresh();  // warm: the first refresh computes every diagram
-  return twin;
-}
+      extractor_(pair_, train_anchors_, std::move(options)) {}
 
 Status FeaturePlane::Apply(const PairDelta& delta) {
   TraceSpan span(obs_.tracer, "ingest.plane_apply");

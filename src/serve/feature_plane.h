@@ -6,25 +6,26 @@
 //
 //   Apply(PairDelta)  — atomic graph growth + dirty-token bookkeeping
 //   Refresh()         — recompute dirty diagrams, migrate clean ones
-//   Extract / Column / RowFor — read the refreshed proximity tables
+//   tables()          — the refreshed proximity tables, immutable
 //
 // The plane is what makes sharded ingest scale: N ModelShards (see
 // ingestor.h) SHARE one plane, so per-batch graph work and diagram
-// recomputation run once per drain instead of once per shard. After
-// Refresh() the read surface (Column / RowFor / pair) is immutable until
-// the next Apply, so any number of shard threads may consume it
-// concurrently — the proximity tables are plain const data.
+// recomputation run once per drain instead of once per shard. Each
+// Refresh() publishes a new ProximityTables object and never mutates an
+// old one, and the tables are all a shard reads from the graph side when
+// it absorbs a drain. So any number of shard threads may absorb drain N
+// from the tables they hold while the writer applies and refreshes drain
+// N+1 on the plane.
 //
 // Writer discipline: exactly one thread calls Apply/Refresh/Extract at a
-// time, and never concurrently with readers. ShardedIngestor's
-// coordinator upholds this by construction: it writes a plane buffer only
-// while no shard absorbs from it.
+// time, and nothing else reads the pair, the anchors or the engine while
+// it does. ShardedIngestor's coordinator is that thread; its shard
+// executors read only the tables handed to them.
 
 #ifndef ACTIVEITER_SERVE_FEATURE_PLANE_H_
 #define ACTIVEITER_SERVE_FEATURE_PLANE_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -48,12 +49,6 @@ class FeaturePlane {
   FeaturePlane(const FeaturePlane&) = delete;
   FeaturePlane& operator=(const FeaturePlane&) = delete;
 
-  /// Deep copy for the pipelined coordinator's plane ring: same graph
-  /// state and anchor bridge, a fresh (warmed) feature engine. The clone
-  /// runs its first Refresh() before returning, so subsequent refreshes
-  /// are delta-bounded exactly like the original's. Obs sinks carry over.
-  std::unique_ptr<FeaturePlane> Clone() const;
-
   const AlignedPair& pair() const { return pair_; }
   const std::vector<AnchorLink>& train_anchors() const {
     return train_anchors_;
@@ -63,9 +58,6 @@ class FeaturePlane {
   /// Called by the owning ingestor before Start(); detached by default.
   void set_obs(ObsSinks obs) { obs_ = obs; }
 
-  /// Feature columns including the trailing bias.
-  size_t dimension() const { return extractor_.dimension(); }
-
   /// Grows the graph atomically (nothing mutates on error) and marks the
   /// touched relations dirty. Cheap; recomputation waits for Refresh().
   Status Apply(const PairDelta& delta);
@@ -74,25 +66,20 @@ class FeaturePlane {
   /// column indices, ascending (all columns on the first call).
   std::vector<size_t> Refresh();
 
-  /// Full |H| × dimension() design matrix over `candidates` (runs
-  /// Refresh() implicitly when pending). Writer-side only.
+  /// Full |H| × dimension design matrix over `candidates` (runs Refresh()
+  /// implicitly when pending). Writer-side only.
   Matrix Extract(const CandidateLinkSet& candidates);
 
-  /// Column k over `candidates` / one feature row. Pure reads of the
-  /// refreshed tables — safe from any number of threads between writes.
-  Vector Column(size_t k, const CandidateLinkSet& candidates) const {
-    return extractor_.Column(k, candidates);
+  /// The proximity tables of the last Refresh() (which must be up to
+  /// date). Immutable: safe to read from any number of threads, also
+  /// while the writer moves the plane on.
+  std::shared_ptr<const ProximityTables> tables() const {
+    return extractor_.tables();
   }
-  Vector RowFor(NodeId u1, NodeId u2) const {
-    return extractor_.RowFor(u1, u2);
-  }
-
-  const DeltaFeatureExtractor& extractor() const { return extractor_; }
 
  private:
   AlignedPair pair_;
   std::vector<AnchorLink> train_anchors_;
-  FeatureExtractorOptions options_;
   DeltaFeatureExtractor extractor_;
   ObsSinks obs_;
 };

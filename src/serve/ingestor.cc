@@ -1,7 +1,6 @@
 #include "src/serve/ingestor.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace activeiter {
 namespace {
@@ -158,22 +157,21 @@ Status ModelShard::Start(FeaturePlane& plane) {
   TraceSpan span(options_.obs.tracer, "ingest.start");
   x_ = plane.Extract(candidates_);
   index_ = std::make_unique<IncidenceIndex>(plane.pair(), candidates_);
+  labeled_.reserve(plane.train_anchors().size() * 2);
+  for (const AnchorLink& a : plane.train_anchors()) {
+    labeled_.insert((static_cast<uint64_t>(a.u1) << 32) | a.u2);
+  }
   pins_.assign(candidates_.size(), Pin::kFree);
-  PinLabeled(plane, 0);
+  PinLabeled(0);
   ACTIVEITER_RETURN_IF_ERROR(Publish());
   started_ = true;
   return Status::OK();
 }
 
-void ModelShard::PinLabeled(const FeaturePlane& plane, size_t first) {
-  std::unordered_set<uint64_t> labeled;
-  labeled.reserve(plane.train_anchors().size() * 2);
-  for (const AnchorLink& a : plane.train_anchors()) {
-    labeled.insert((static_cast<uint64_t>(a.u1) << 32) | a.u2);
-  }
+void ModelShard::PinLabeled(size_t first) {
   for (size_t id = first; id < candidates_.size(); ++id) {
     const auto& [u1, u2] = candidates_.link(id);
-    if (labeled.count((static_cast<uint64_t>(u1) << 32) | u2) != 0) {
+    if (labeled_.count((static_cast<uint64_t>(u1) << 32) | u2) != 0) {
       pins_[id] = Pin::kPositive;
     }
   }
@@ -211,7 +209,7 @@ Status ModelShard::Publish() {
   return Status::OK();
 }
 
-Status ModelShard::ApplySlice(const FeaturePlane& plane,
+Status ModelShard::ApplySlice(const ProximityTables& tables,
                               const std::vector<size_t>& dirty_columns,
                               const ServeDelta& slice,
                               size_t submitted_batches) {
@@ -264,7 +262,7 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     RowsRemovedCounter().Add(removed_count);
   }
 
-  // Existing candidates' dirty feature columns take the plane's values;
+  // Existing candidates' dirty feature columns take the tables' values;
   // a row counts as replaced when any of them actually moved.
   size_t replaced = 0;
   const size_t old_count = candidates_.size();
@@ -273,7 +271,7 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
     std::vector<Vector> fresh;
     fresh.reserve(dirty_columns.size());
     for (size_t k : dirty_columns) {
-      fresh.push_back(plane.Column(k, candidates_));
+      fresh.push_back(tables.Column(k, candidates_));
     }
     for (size_t i = 0; i < old_count; ++i) {
       double* row = x_.row_data(i);
@@ -290,22 +288,22 @@ Status ModelShard::ApplySlice(const FeaturePlane& plane,
   {
     // New candidates: feature rows straight from the proximity tables.
     TraceSpan span(options_.obs.tracer, "ingest.append_rows");
-    Matrix new_rows(slice.new_candidates.size(), plane.dimension());
+    Matrix new_rows(slice.new_candidates.size(), tables.dimension());
     for (size_t r = 0; r < slice.new_candidates.size(); ++r) {
       const auto& [u1, u2] = slice.new_candidates[r];
       candidates_.Add(u1, u2);
       global_ids_.push_back(slice.candidate_ids[r]);
-      Vector row = plane.RowFor(u1, u2);
+      Vector row = tables.RowFor(u1, u2);
       for (size_t j = 0; j < row.size(); ++j) new_rows(r, j) = row(j);
     }
     next_global_id_ = next_global_id;
-    index_->SyncWithCandidates(plane.pair());
+    index_->SyncWithCandidates(tables.users_first(), tables.users_second());
     x_.AppendRows(new_rows);
     pins_.resize(x_.rows(), Pin::kFree);
     // A re-revealed candidate that IS a train anchor re-enters L+ — the
     // churn twin of Start()'s pinning pass (appended negatives never match
     // an anchor, so this is a no-op on grow-only streams).
-    if (!slice.new_candidates.empty()) PinLabeled(plane, old_count);
+    if (!slice.new_candidates.empty()) PinLabeled(old_count);
   }
 
   ++epoch_;

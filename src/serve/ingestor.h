@@ -10,7 +10,7 @@
 //                                       AlignmentSession, PU alternation,
 //                                       snapshot chain. Cost scales with
 //                                       the SLICE.
-//   ShardedIngestor (shard.h)         — the coordinator: a plane ring, N
+//   ShardedIngestor (shard.h)         — the coordinator: one plane, N
 //                                       shards and the background queue.
 //
 // A ServeDelta batch advances a (plane, shard) pair in six steps:
@@ -19,12 +19,14 @@
 //                                AND shrinks — edge removals and anchor
 //                                retractions apply validate-then-commit)
 //   2. plane.Refresh            (only dirty diagrams recompute; clean
-//                                intermediates migrate via padding)
-//   3. edit X                   (withdrawn candidates' rows, index entries
-//                                and pins compact out; existing rows whose
-//                                dirty feature columns moved are
-//                                overwritten in place; new candidates
-//                                append a row from the proximity tables)
+//                                intermediates migrate via padding; the
+//                                refresh publishes new immutable
+//                                ProximityTables)
+//   3. edit X                   (from those tables alone: withdrawn
+//                                candidates' rows, index entries and pins
+//                                compact out; existing rows whose dirty
+//                                feature columns moved are overwritten in
+//                                place; new candidates append a row)
 //   4. refit                    (AlignmentSession::Create over X: X
 //                                compressed by rows and by columns, one
 //                                Gram product and one Cholesky
@@ -34,7 +36,9 @@
 //   6. BuildSnapshot + Publish  (atomic epoch swap in the service)
 //
 // Steps 1–2 are plane work (once per drain, however many shards); steps
-// 3–6 are shard work (per slice, shard-parallel — see shard.h). X is
+// 3–6 are shard work (per slice, shard-parallel — see shard.h), and they
+// read nothing of the plane but the drain's tables, so the plane may
+// already run steps 1–2 of the next drain meanwhile. X is
 // bitwise equal to a fresh extraction over the mutated pair, and step 4
 // forms G and L from it exactly as a fresh batch build does, so every
 // published w, score vector and label vector is BITWISE equal to a fresh
@@ -56,6 +60,7 @@
 
 #include <memory>
 #include <mutex>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -136,17 +141,6 @@ struct IngestorOptions {
   /// Shard layout: ShardedIngestor fans out over partition.num_shards
   /// slices.
   ShardPartition partition;
-  /// Default k for query front ends when the caller does not say (e.g.
-  /// serve_cli --topk 0).
-  size_t default_top_k = 10;
-  /// Extra feature planes the sharded coordinator may have in flight
-  /// beyond the one the shards are absorbing: depth d keeps d+1 plane
-  /// buffers and prepares drain N+1 (graph apply + SpGEMM refresh) WHILE
-  /// the shards absorb drain N. 0 restores the strictly serial
-  /// coordinator (one buffer; prepare waits for every shard). Published
-  /// epochs are bitwise-identical at every depth — only the overlap
-  /// changes.
-  size_t pipeline_depth = 1;
   /// When non-zero, ShardedIngestor::Submit blocks while the background
   /// queue holds this many undrained batches — backpressure so a fast
   /// producer cannot outrun the shards unboundedly. Each blocked Submit
@@ -172,10 +166,12 @@ struct IngestStats {
   uint64_t rows_removed = 0;          // withdrawn candidate rows
   uint64_t full_factorisations = 0;   // one refit per published epoch
   // Pipeline accounting (coordinator-level; ModelShard leaves them 0).
-  uint64_t pipeline_stalls = 0;       // backpressure waits (buffer/queue)
-  uint64_t max_inflight_planes = 0;   // high-water drains in flight; a
-                                      // value ≥ 2 proves prepare/absorb
-                                      // overlapped. Serial mode reports 1.
+  uint64_t pipeline_stalls = 0;       // backpressure waits (drain/queue)
+  uint64_t max_inflight_planes = 0;   // high-water drains in flight, from
+                                      // prepare to the last shard's
+                                      // absorb (at most 2); a value of 2
+                                      // proves prepare/absorb overlapped.
+                                      // ApplyOnce alone reports 1.
 
   /// Element-wise sum (aggregating shard stats); `max_inflight_planes`
   /// takes the max, not the sum.
@@ -184,10 +180,10 @@ struct IngestStats {
 
 /// One shard's model state: a disjoint candidate slice with its own
 /// incidence index, design matrix, pin state, PU alternation and snapshot
-/// chain. Consumes a FeaturePlane it does not own; distinct
-/// shards over the same plane share nothing mutable, so their ApplySlice
-/// calls may run concurrently (each against its own slice) once the plane
-/// is refreshed.
+/// chain. Starts from a FeaturePlane it does not own and then absorbs
+/// each drain from that drain's immutable ProximityTables; distinct
+/// shards share nothing mutable, so their ApplySlice calls may run
+/// concurrently (each against its own slice).
 class ModelShard {
  public:
   /// `service` must outlive the shard. `global_ids` maps each initial
@@ -201,20 +197,27 @@ class ModelShard {
   ModelShard& operator=(const ModelShard&) = delete;
 
   /// Builds and publishes epoch 0 — the only full feature gather of the
-  /// shard's lifetime. The plane refreshes lazily on the first shard that
-  /// starts.
+  /// shard's lifetime — and keeps the plane's anchor bridge L+ for
+  /// pinning. The plane refreshes lazily on the first shard that starts.
   Status Start(FeaturePlane& plane);
 
-  /// Applies this shard's slice of a batch against an already-refreshed
-  /// plane: rows of the slice's withdrawn candidates removed, rows whose
-  /// `dirty_columns` moved overwritten, rows for the slice's new
-  /// candidates appended, then refit, realign, publish. The slice carries
-  /// the global id of every new candidate (what RouteServeDelta stamps).
-  /// `submitted_batches` is the number of Submit() calls the slice
-  /// coalesces (1 for ApplyOnce).
-  Status ApplySlice(const FeaturePlane& plane,
+  /// Applies this shard's slice of a batch from the proximity tables the
+  /// batch's Refresh() published: rows of the slice's withdrawn candidates
+  /// removed, rows whose `dirty_columns` moved overwritten, rows for the
+  /// slice's new candidates appended, then refit, realign, publish. The
+  /// slice carries the global id of every new candidate (what
+  /// RouteServeDelta stamps). `submitted_batches` is the number of
+  /// Submit() calls the slice coalesces (1 for ApplyOnce).
+  Status ApplySlice(const ProximityTables& tables,
                     const std::vector<size_t>& dirty_columns,
                     const ServeDelta& slice, size_t submitted_batches);
+  /// The same, from the tables of a plane refreshed for this batch.
+  Status ApplySlice(const FeaturePlane& plane,
+                    const std::vector<size_t>& dirty_columns,
+                    const ServeDelta& slice, size_t submitted_batches) {
+    return ApplySlice(*plane.tables(), dirty_columns, slice,
+                      submitted_batches);
+  }
 
   /// Local ids of the served candidate pairs `removed`, ascending.
   /// NotFound when this shard does not serve a pair or a pair is named
@@ -234,7 +237,7 @@ class ModelShard {
 
  private:
   /// Pins the candidates in [first, size) that ARE a train anchor (L+).
-  void PinLabeled(const FeaturePlane& plane, size_t first);
+  void PinLabeled(size_t first);
   /// Refits a session over X (X compressed, one Gram product, one
   /// factorisation), runs the PU alternation against it and publishes the
   /// next snapshot.
@@ -247,6 +250,7 @@ class ModelShard {
   std::unique_ptr<IncidenceIndex> index_;
   Matrix x_;
   std::vector<Pin> pins_;  // per row of x_: L+ positives, the rest free
+  std::unordered_set<uint64_t> labeled_;  // L+ pair keys, kept at Start
   IterAligner aligner_;
   std::vector<size_t> global_ids_;
   size_t next_global_id_ = 0;  // one past the highest global id held

@@ -29,7 +29,7 @@ std::vector<ServeDelta> RouteServeDelta(const ServeDelta& delta,
 
 /// Persistent absorb thread of one shard: a mailbox of routed slices,
 /// drained FIFO, so a shard sees every drain in submission order while
-/// the coordinator is already preparing the next plane buffer. Started at
+/// the coordinator is already preparing the next drain. Started at
 /// StartBackground, joined (after draining) at Stop — steady-state drains
 /// spawn zero threads.
 class ShardedIngestor::ShardExecutor {
@@ -77,7 +77,7 @@ class ShardedIngestor::ShardExecutor {
       Status status = Status::OK();
       if (owner_->background_status().ok()) {
         status = owner_->shards_[shard_]->ApplySlice(
-            *task.plane, *task.dirty_columns, task.slice,
+            *task.tables, *task.dirty_columns, task.slice,
             task.submitted_batches);
       }
       owner_->OnSliceDone(task.seq, status);
@@ -133,46 +133,12 @@ ShardedIngestor::ShardedIngestor(AlignedPair pair,
 ShardedIngestor::~ShardedIngestor() { Stop(); }
 
 Status ShardedIngestor::Start() {
-  // Sequential: the first shard's Extract refreshes the primary plane;
-  // the rest are pure gathers over their slices.
+  // Sequential: the first shard's Extract refreshes the plane; the rest
+  // are pure gathers over their slices.
   for (auto& shard : shards_) {
     ACTIVEITER_RETURN_IF_ERROR(shard->Start(plane_));
   }
-  if (ring_.empty()) {
-    // Depth d keeps d drains in flight beyond the one being absorbed,
-    // which needs d extra plane buffers — cloned once, kept for life.
-    ring_.push_back(&plane_);
-    for (size_t d = 0; d < options_.pipeline_depth; ++d) {
-      clone_planes_.push_back(plane_.Clone());
-      ring_.push_back(clone_planes_.back().get());
-    }
-    ring_applied_.assign(ring_.size(), 0);
-    ring_busy_.assign(ring_.size(), false);
-  }
   return Status::OK();
-}
-
-void ShardedIngestor::CatchUpBuffer(size_t buffer) {
-  FeaturePlane& plane = *ring_[buffer];
-  for (const auto& [seq, graph] : graph_history_) {
-    if (seq <= ring_applied_[buffer]) continue;
-    // Replays were validated and applied on a sibling buffer in the same
-    // state sequence, so they cannot fail here.
-    ACTIVEITER_CHECK_MSG(plane.Apply(graph).ok(),
-                         "plane buffer replay must not fail");
-    ring_applied_[buffer] = seq;
-  }
-}
-
-void ShardedIngestor::TrimHistory() {
-  uint64_t min_applied = ring_applied_.front();
-  for (uint64_t applied : ring_applied_) {
-    min_applied = std::min(min_applied, applied);
-  }
-  while (!graph_history_.empty() &&
-         graph_history_.front().first <= min_applied) {
-    graph_history_.pop_front();
-  }
 }
 
 Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
@@ -180,13 +146,6 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
   for (const auto& shard : shards_) {
     if (!shard->started()) return Status::FailedPrecondition("Start() first");
   }
-  // Deterministic mode keeps every plane buffer in lock-step: replay
-  // whatever a buffer missed while the coordinator ran, then advance all
-  // of them together (clone refreshes stay lazy — their accumulated dirt
-  // resolves on next background use, and a superset dirty set rewrites X
-  // with the values it already holds, so it cannot change any absorb).
-  for (size_t b = 0; b < ring_.size(); ++b) CatchUpBuffer(b);
-  graph_history_.clear();
   // Validate-before-mutate: a rejected batch leaves the plane AND every
   // shard untouched, so the write side stays consistent. Routing is pure,
   // so every owning shard resolves its removals before the plane moves.
@@ -201,12 +160,6 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
         shards_[s]->ResolveRemovals(routed[s].removed_candidates).status());
   }
   ACTIVEITER_RETURN_IF_ERROR(plane_.Apply(merged.graph));
-  for (size_t b = 1; b < ring_.size(); ++b) {
-    ACTIVEITER_CHECK_MSG(ring_[b]->Apply(merged.graph).ok(),
-                         "plane buffers must advance in lock-step");
-  }
-  ++drain_seq_;
-  for (uint64_t& applied : ring_applied_) applied = drain_seq_;
   const std::vector<size_t> dirty_columns = plane_.Refresh();
   for (size_t s = 0; s < shards_.size(); ++s) {
     ACTIVEITER_RETURN_IF_ERROR(shards_[s]->ApplySlice(
@@ -218,31 +171,26 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
 
 Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
                                      size_t submitted_batches) {
-  // Acquire the drain's ring buffer (round-robin by sequence). With depth
-  // 0 there is one buffer, so this wait IS the serial barrier; with depth
-  // ≥ 1 a wait means every buffer is still being absorbed — backpressure,
-  // counted as a stall.
-  const size_t buffer = static_cast<size_t>(drain_seq_ % ring_.size());
+  // With kMaxInflightDrains in flight, the oldest is still absorbing:
+  // wait for it to land — backpressure, counted as a stall.
   bool overlapped = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (ring_busy_[buffer]) {
-      if (options_.pipeline_depth > 0) {
-        ++stall_count_;
-        if (pipeline_stall_counter_ != nullptr) {
-          pipeline_stall_counter_->Increment();
-        }
+    if (inflight_drains_ >= kMaxInflightDrains) {
+      ++stall_count_;
+      if (pipeline_stall_counter_ != nullptr) {
+        pipeline_stall_counter_->Increment();
       }
-      plane_free_cv_.wait(lock,
-                          [this, buffer] { return !ring_busy_[buffer]; });
+      absorbed_cv_.wait(
+          lock, [this] { return inflight_drains_ < kMaxInflightDrains; });
     }
     ++inflight_drains_;
     max_inflight_ = std::max<uint64_t>(max_inflight_, inflight_drains_);
     overlapped = inflight_drains_ > 1;
     if (pipeline_inflight_ != nullptr) pipeline_inflight_->Add(1);
   }
-  FeaturePlane& plane = *ring_[buffer];
   Status prepared = Status::OK();
+  std::shared_ptr<const ProximityTables> tables;
   std::shared_ptr<const std::vector<size_t>> dirty;
   std::vector<ServeDelta> routed;
   {
@@ -251,38 +199,31 @@ Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
     // drain was still absorbing is exactly the pipeline's win.
     TraceSpan overlap(overlapped ? options_.obs.tracer : nullptr,
                       "ingest.pipeline.overlap");
-    CatchUpBuffer(buffer);
-    prepared = ValidateCandidateEndpoints(plane.pair(), merged);
-    if (prepared.ok()) prepared = plane.Apply(merged.graph);
+    prepared = ValidateCandidateEndpoints(plane_.pair(), merged);
+    if (prepared.ok()) prepared = plane_.Apply(merged.graph);
     if (prepared.ok()) {
-      dirty = std::make_shared<const std::vector<size_t>>(plane.Refresh());
+      dirty = std::make_shared<const std::vector<size_t>>(plane_.Refresh());
+      tables = plane_.tables();
       TraceSpan route_span(options_.obs.tracer, "ingest.route");
       routed = RouteServeDelta(merged, options_.partition, next_global_id_);
     }
   }
   if (!prepared.ok()) {
-    // Rejected before anything mutated: release the buffer untouched.
+    // Rejected before anything mutated: the drain leaves the pipeline.
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_drains_;
     if (pipeline_inflight_ != nullptr) pipeline_inflight_->Sub(1);
-    plane_free_cv_.notify_all();
     return prepared;
   }
   const uint64_t seq = ++drain_seq_;
-  ring_applied_[buffer] = seq;
-  graph_history_.emplace_back(seq, merged.graph);
-  TrimHistory();
   next_global_id_ += merged.new_candidates.size();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ring_busy_[buffer] = true;
-    tickets_.push_back(
-        DrainTicket{seq, buffer, shards_.size(), submitted_batches});
+    tickets_.push_back(DrainTicket{seq, shards_.size(), submitted_batches});
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    executors_[s]->Enqueue(
-        SliceTask{&plane, dirty, std::move(routed[s]), submitted_batches,
-                  seq});
+    executors_[s]->Enqueue(SliceTask{tables, dirty, std::move(routed[s]),
+                                     submitted_batches, seq});
   }
   return Status::OK();
 }
@@ -293,15 +234,14 @@ void ShardedIngestor::OnSliceDone(uint64_t seq, const Status& status) {
   for (auto it = tickets_.begin(); it != tickets_.end(); ++it) {
     if (it->seq != seq) continue;
     if (--it->remaining == 0) {
-      // Last shard of the drain: release the plane buffer and account
-      // the coalesced submits as published.
-      ring_busy_[it->buffer] = false;
+      // Last shard of the drain: it leaves the pipeline, and the
+      // coalesced submits count as published.
       --inflight_drains_;
       if (pipeline_inflight_ != nullptr) pipeline_inflight_->Sub(1);
       if (epoch_lag_ != nullptr) epoch_lag_->Sub(it->submitted);
       in_flight_ -= it->submitted;
       tickets_.erase(it);
-      plane_free_cv_.notify_all();
+      absorbed_cv_.notify_all();
       if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
     }
     return;
@@ -380,10 +320,6 @@ void ShardedIngestor::Stop() {
   executors_.clear();
   std::lock_guard<std::mutex> lock(mu_);
   ACTIVEITER_CHECK(tickets_.empty());
-  // Leave the primary buffer current: post-Stop accessors (pair(),
-  // design-matrix comparisons) and later ApplyOnce calls read it.
-  CatchUpBuffer(0);
-  TrimHistory();
   thread_running_ = false;
   stopping_ = false;
   idle_cv_.notify_all();
@@ -450,8 +386,8 @@ IngestStats ShardedIngestor::stats() const {
   }
   std::lock_guard<std::mutex> lock(mu_);
   total.pipeline_stalls = stall_count_;
-  // Before any background drain the pipeline trivially had one plane "in
-  // flight" (the primary); report 1 so serial runs read 0 stalls / 1.
+  // Before any background drain the pipeline trivially had one drain "in
+  // flight"; report 1 so ApplyOnce-only runs read 0 stalls / 1.
   total.max_inflight_planes = std::max<uint64_t>(max_inflight_, 1);
   return total;
 }

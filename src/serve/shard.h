@@ -2,10 +2,10 @@
 // two-stage software pipeline.
 //
 //                       ┌──────────────── ShardedIngestor ────────────────┐
-//   ServeDelta ──▶ queue ─▶ coordinator ─▶ plane ring (graph + features:  │
-//     (Submit)            (coalesce +      buffer N+1 PREPARES while      │
-//                          route by        buffer N is absorbed)          │
-//                          u1 range,        │ read-only hand-off          │
+//   ServeDelta ──▶ queue ─▶ coordinator ─▶ plane (graph + features:       │
+//     (Submit)            (coalesce +      PREPARES drain N+1 while the   │
+//                          route by        shards absorb drain N)         │
+//                          u1 range,        │ drain N's immutable tables  │
 //                          assign      ┌────┴────┬─────────┐              │
 //                          global      ▼         ▼         ▼              │
 //                          link    executor 0 executor 1  ...             │
@@ -21,21 +21,19 @@
 // (mailbox + condition variable, started once at StartBackground, joined
 // at Stop — steady-state drains spawn zero threads).
 //
-// The pipeline: the plane is a ring of pipeline_depth + 1 buffers. Drain
-// N's slices absorb against buffer N mod (d+1) while the coordinator
-// catches buffer (N+1) mod (d+1) up (replaying the drains it missed from a
-// short graph-delta history) and prepares drain N+1 on it. Acquiring a
-// still-busy buffer blocks the coordinator — that wait is the backpressure
-// (counted in IngestStats::pipeline_stalls), and with depth 0 (one buffer)
-// it degenerates to the strictly serial coordinator. Shards publish their
-// epochs independently as each slice completes — there is no whole-drain
-// barrier; the router's epoch() = slowest shard already tolerates the
-// skew, and each shard still sees every drain in submission order, so
-// published epochs are bitwise-identical to the serial schedule at every
-// depth. (Replaying a drain onto a buffer may mark a SUPERSET of the
-// serial dirty columns; that is harmless because a column that did not
-// move rewrites X with the values it already holds, and the replace pass
-// counts only rows whose values changed.)
+// The pipeline: the coordinator owns ONE plane. Every Refresh() publishes
+// an immutable ProximityTables object, and every slice the coordinator
+// hands to an executor carries its drain's tables — the only graph-side
+// state a shard reads while it absorbs. So the coordinator applies and
+// refreshes drain N+1 on the plane while the executors still absorb drain
+// N. At most two drains are in flight (from prepare to the last shard's
+// absorb): preparing a third waits until the oldest is absorbed — that
+// wait is the backpressure, counted in IngestStats::pipeline_stalls.
+// Shards publish their epochs independently as each slice completes —
+// there is no whole-drain barrier; the router's epoch() = slowest shard
+// already tolerates the skew, and each shard still sees every drain in
+// submission order, against that drain's own tables, so published epochs
+// are bitwise-identical to the serial schedule.
 //
 // Model semantics: each shard trains the PU alternation on its own slice.
 // Every shard's model equals an independent plane + ModelShard pipeline
@@ -61,10 +59,11 @@
 // no later batch reuses the ids the failed drain had stamped. Recovering
 // from it stays with the ROADMAP item on recoverable failures. A
 // model-side failure inside a shard makes the background status sticky
-// the same way — up to pipeline_depth later drains may already sit in
-// executor mailboxes when it surfaces; their absorbs are skipped (the
-// read side keeps serving every shard's last published epoch) and
-// everything submitted after is discarded at drain time.
+// the same way — one later drain may already sit in executor mailboxes
+// when it surfaces, and the coordinator may be preparing another; their
+// absorbs are skipped (the read side keeps serving every shard's last
+// published epoch) and everything submitted after is discarded at drain
+// time.
 
 #ifndef ACTIVEITER_SERVE_SHARD_H_
 #define ACTIVEITER_SERVE_SHARD_H_
@@ -95,15 +94,15 @@ std::vector<ServeDelta> RouteServeDelta(const ServeDelta& delta,
                                         const ShardPartition& partition,
                                         size_t first_global_id);
 
-/// A plane ring + N ModelShards over disjoint candidate slices plus the
-/// ShardRouter serving them. Lifecycle: Start → ApplyOnce |
+/// One FeaturePlane + N ModelShards over disjoint candidate slices plus
+/// the ShardRouter serving them. Lifecycle: Start → ApplyOnce |
 /// StartBackground/Submit/Flush/Stop; queries go through backend().
 class ShardedIngestor {
  public:
   /// Takes ownership of the initial state and splits it across
   /// `options.partition.num_shards` shards. The pair and the labeled
-  /// bridge L+ live once per plane buffer (pipeline_depth + 1 of them);
-  /// candidate ownership follows the partition.
+  /// bridge L+ live once, in the plane; candidate ownership follows the
+  /// partition.
   ShardedIngestor(AlignedPair pair, std::vector<AnchorLink> train_anchors,
                   CandidateLinkSet candidates, IngestorOptions options = {});
 
@@ -112,20 +111,21 @@ class ShardedIngestor {
   ShardedIngestor(const ShardedIngestor&) = delete;
   ShardedIngestor& operator=(const ShardedIngestor&) = delete;
 
-  /// Starts every shard against the primary plane (one full feature
-  /// refresh total; one Gram factorisation per shard), publishes epoch 0
-  /// on all of them, and clones the extra pipeline plane buffers.
+  /// Starts every shard against the plane (one full feature refresh
+  /// total; one Gram factorisation per shard) and publishes epoch 0 on
+  /// all of them.
   Status Start();
 
   /// Routes one batch and applies it synchronously, shard after shard.
-  /// Deterministic; shard epochs stay in lock-step and every plane buffer
-  /// advances together. A batch rejected by validation or by a shard's
-  /// removal lookup leaves the plane and every shard untouched.
+  /// Deterministic; shard epochs stay in lock-step. A batch rejected by
+  /// validation or by a shard's removal lookup leaves the plane and every
+  /// shard untouched.
   Status ApplyOnce(const ServeDelta& delta);
 
   /// Background ingest: one coordinator thread that drains the queue
-  /// (coalescing per the drain policy) and prepares plane buffers, plus
-  /// one persistent executor thread per shard absorbing the slices.
+  /// (coalescing per the drain policy) and prepares each drain on the
+  /// plane, plus one persistent executor thread per shard absorbing the
+  /// slices.
   void StartBackground();
 
   /// Enqueues a batch. The batch must not carry global link ids — this
@@ -137,8 +137,9 @@ class ShardedIngestor {
   /// Blocks until every submitted batch has been applied and published.
   void Flush();
 
-  /// Drains the queue and the executor mailboxes, joins the coordinator
-  /// and every executor, and catches the primary plane up (idempotent).
+  /// Drains the queue and the executor mailboxes and joins the
+  /// coordinator and every executor (idempotent). Every drain was
+  /// prepared on the plane, so it is current afterwards.
   void Stop();
 
   /// First error reported by the coordinator (sticky; batches submitted
@@ -161,8 +162,8 @@ class ShardedIngestor {
   /// shards — every shard refits once per published epoch, so
   /// full_factorisations equals num_shards × epochs_published.
   /// pipeline_stalls / max_inflight_planes are
-  /// coordinator-level: max_inflight_planes ≥ 2 proves prepare/absorb
-  /// actually overlapped; serial operation reports 0 / 1.
+  /// coordinator-level: max_inflight_planes = 2 proves prepare/absorb
+  /// actually overlapped; ApplyOnce alone reports 0 / 1.
   IngestStats stats() const;
   IngestStats shard_stats(size_t shard) const;
 
@@ -176,10 +177,10 @@ class ShardedIngestor {
   class ShardExecutor;
 
   /// One routed slice travelling from the coordinator to a shard
-  /// executor. The plane buffer it points at stays immutable until every
-  /// shard of its drain completed (the ring acquisition guarantees it).
+  /// executor, with its drain's tables: immutable, so the plane may move
+  /// on while the slice is absorbed.
   struct SliceTask {
-    const FeaturePlane* plane = nullptr;
+    std::shared_ptr<const ProximityTables> tables;
     std::shared_ptr<const std::vector<size_t>> dirty_columns;
     ServeDelta slice;
     size_t submitted_batches = 0;
@@ -189,29 +190,27 @@ class ShardedIngestor {
   /// Completion bookkeeping of one dispatched drain.
   struct DrainTicket {
     uint64_t seq = 0;
-    size_t buffer = 0;
     size_t remaining = 0;   // shards still absorbing
     size_t submitted = 0;   // Submit() calls this drain coalesces
   };
 
   void WorkerLoop();
-  /// Deterministic path: validate → route → resolve removals → advance
-  /// EVERY plane buffer → refresh the primary → shard applies, sequential
-  /// on this thread.
+  /// Deterministic path: validate → route → resolve removals → plane
+  /// apply and refresh → shard applies, sequential on this thread.
   Status ApplyMerged(const ServeDelta& merged, size_t submitted_batches);
-  /// Pipelined path: acquire the drain's ring buffer (blocking while it
-  /// is still being absorbed), replay missed drains onto it, prepare the
-  /// new drain and hand the slices to the executors. Returns without
-  /// waiting for the absorbs.
+  /// Pipelined path: wait while kMaxInflightDrains drains are in flight,
+  /// prepare the new drain on the plane and hand its slices and tables to
+  /// the executors. Returns without waiting for the absorbs.
   Status PrepareDrain(const ServeDelta& merged, size_t submitted_batches);
-  /// Replays graph deltas the buffer missed while other buffers ran.
-  void CatchUpBuffer(size_t buffer);
-  void TrimHistory();
   /// Executor callback: a shard finished (or skipped) drain `seq`.
   void OnSliceDone(uint64_t seq, const Status& status);
 
+  /// Drains between prepare and the last shard's absorb: the one being
+  /// absorbed and the one being prepared.
+  static constexpr size_t kMaxInflightDrains = 2;
+
   IngestorOptions options_;
-  FeaturePlane plane_;  // ring_[0]; the buffer tests/readers introspect
+  FeaturePlane plane_;  // written by the coordinator alone
   /// Submitted-but-unpublished batches; null when metrics are detached.
   Gauge* epoch_lag_ = nullptr;
   Gauge* pipeline_inflight_ = nullptr;   // "ingest.pipeline.depth"
@@ -220,18 +219,7 @@ class ShardedIngestor {
   std::vector<std::unique_ptr<ModelShard>> shards_;
   std::unique_ptr<ShardRouter> router_;
   size_t next_global_id_ = 0;
-
-  // The plane ring (built at Start): pipeline_depth extra clones of the
-  // primary plane, used round-robin by drain sequence number.
-  std::vector<std::unique_ptr<FeaturePlane>> clone_planes_;
-  std::vector<FeaturePlane*> ring_;
-  std::vector<uint64_t> ring_applied_;   // last drain seq each buffer holds
-  std::vector<bool> ring_busy_;          // being absorbed (guarded by mu_)
-  // Committed drains a stale buffer may still need to replay; trimmed to
-  // min(ring_applied_), so it never holds more than ring_.size() entries
-  // in background operation.
-  std::deque<std::pair<uint64_t, PairDelta>> graph_history_;
-  uint64_t drain_seq_ = 0;               // committed drains
+  uint64_t drain_seq_ = 0;               // dispatched background drains
 
   // Persistent per-shard absorb threads (live between StartBackground
   // and Stop).
@@ -243,7 +231,7 @@ class ShardedIngestor {
   mutable std::mutex mu_;
   std::condition_variable cv_;           // queue not empty / stopping
   std::condition_variable idle_cv_;      // queue drained + drains landed
-  std::condition_variable plane_free_cv_;   // a ring buffer was released
+  std::condition_variable absorbed_cv_;   // a drain finished absorbing
   std::condition_variable queue_space_cv_;  // Submit backpressure
   std::deque<ServeDelta> queue_;
   size_t in_flight_ = 0;                 // batches drained, not published

@@ -95,7 +95,8 @@ TEST(IncidenceIndexTest, SyncWithCandidatesIndexesAppendedLinks) {
   ASSERT_TRUE(pair.ApplyDelta(delta).ok());
   size_t id_a = c.Add(3, 3);
   size_t id_b = c.Add(0, 3);
-  index.SyncWithCandidates(pair);
+  index.SyncWithCandidates(pair.first().NodeCount(NodeType::kUser),
+                           pair.second().NodeCount(NodeType::kUser));
 
   EXPECT_EQ(index.candidate_count(), 7u);
   EXPECT_EQ(index.users_first(), 4u);

@@ -157,7 +157,8 @@ TEST(ShrinkRejectionTest, IncidenceRemovalValidatesAtomically) {
 
   // The index keeps growing normally after a shrink cycle.
   candidates.Add(2, 2);
-  index.SyncWithCandidates(pair);
+  index.SyncWithCandidates(pair.first().NodeCount(NodeType::kUser),
+                           pair.second().NodeCount(NodeType::kUser));
   EXPECT_EQ(index.candidate_count(), 3u);
   EXPECT_EQ(index.LinksOfFirst(2).size(), 1u);
 }

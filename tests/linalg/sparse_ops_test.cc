@@ -374,6 +374,41 @@ TEST(BinarizeTest, AllValuesBecomeOne) {
   EXPECT_EQ(b.nnz(), 2u);
 }
 
+// The definition: one (i, j, 1.0) triplet per stored entry of `a`.
+void ExpectBinarizeMatchesTriplets(const SparseMatrix& a) {
+  std::vector<Triplet> trips;
+  a.ForEach([&](size_t i, size_t j, double) {
+    trips.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), 1.0});
+  });
+  const SparseMatrix want =
+      SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(trips));
+  const SparseMatrix got = Binarize(a);
+  EXPECT_EQ(got.rows(), want.rows());
+  EXPECT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(got.row_ptr(), want.row_ptr());
+  EXPECT_EQ(got.col_idx(), want.col_idx());
+  EXPECT_EQ(got.values(), want.values());
+}
+
+TEST(BinarizeTest, MatchesTripletDefinitionOnRandomMatrices) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    ExpectBinarizeMatchesTriplets(
+        RandomSparse(3 + seed % 7, 2 + seed % 5, 0.1 * (seed % 8), seed));
+  }
+  ExpectBinarizeMatchesTriplets(SparseMatrix());
+  ExpectBinarizeMatchesTriplets(SparseMatrix(4, 3));
+}
+
+TEST(BinarizeTest, ExplicitlyStoredZeroBecomesOne) {
+  // Row 0 stores (0, 1) = 0.0; row 1 is empty; row 2 stores two entries.
+  auto a = SparseMatrix::FromCsr(3, 3, {0, 1, 1, 3}, {1, 0, 2},
+                                 {0.0, -4.0, 2.5});
+  ExpectBinarizeMatchesTriplets(a);
+  SparseMatrix b = Binarize(a);
+  EXPECT_EQ(b.nnz(), 3u);
+  EXPECT_EQ(b.At(0, 1), 1.0);
+}
+
 TEST(MaskBySupportTest, KeepsOnlySupportedEntries) {
   auto a = SparseMatrix::FromTriplets(2, 2,
                                       {{0, 0, 3.0}, {0, 1, 4.0}, {1, 0, 5.0}});

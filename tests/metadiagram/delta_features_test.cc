@@ -127,7 +127,7 @@ TEST(DeltaFeatureTest, AttributeOnlyDeltaKeepsSocialDiagramsClean) {
   extractor.NoteDelta(delta);
   std::vector<size_t> dirty = extractor.Refresh();
   EXPECT_FALSE(dirty.empty());
-  EXPECT_LT(dirty.size(), extractor.dimension() - 1);
+  EXPECT_LT(dirty.size(), extractor.feature_names().size());
   // The pure-social paths and fusions (P1..P4, MD[P1xP2], ...) must stay
   // clean: only diagrams with an attribute segment can see the change.
   const std::vector<std::string>& names = extractor.feature_names();
@@ -159,7 +159,8 @@ TEST(DeltaFeatureTest, NodeOnlyGrowthDirtiesNothing) {
   std::vector<size_t> dirty = extractor.Refresh();
   EXPECT_TRUE(dirty.empty());
   // Only the epoch-0 build ever recomputed anything.
-  EXPECT_EQ(extractor.stats().diagrams_recomputed, extractor.dimension() - 1);
+  EXPECT_EQ(extractor.stats().diagrams_recomputed,
+            extractor.feature_names().size());
 
   // Isolated new users score zero against everyone but extraction over
   // them must be well-formed and match a full rebuild.
@@ -169,7 +170,7 @@ TEST(DeltaFeatureTest, NodeOnlyGrowthDirtiesNothing) {
   Matrix streamed = extractor.Extract(candidates);
   FeatureExtractor batch_extractor(pair, train);
   ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
-  for (size_t k = 0; k + 1 < extractor.dimension(); ++k) {
+  for (size_t k = 0; k < extractor.feature_names().size(); ++k) {
     EXPECT_EQ(streamed(candidates.size() - 1, k), 0.0);
   }
 }

@@ -110,7 +110,8 @@ TEST(DeltaStreamTest, BatchesOnlyReferenceRevealedNodes) {
       ASSERT_LT(u2, replay.second().NodeCount(NodeType::kUser));
       candidates.Add(u1, u2);
     }
-    index.SyncWithCandidates(replay);
+    index.SyncWithCandidates(replay.first().NodeCount(NodeType::kUser),
+                             replay.second().NodeCount(NodeType::kUser));
   }
   EXPECT_EQ(index.candidate_count(), candidates.size());
 }

@@ -1,20 +1,19 @@
-// The pipelined coordinator, proven bitwise epoch by epoch:
-//
-//   depth ≥ 1   the double-buffered plane ring + persistent shard
-//               executors publish EXACTLY the epochs the deterministic
-//               ApplyOnce coordinator publishes — same links, scores,
-//               labels, weights and design matrices at 1, 2 and 4 shards,
-//               on grow-only AND churn streams, with factor counters
-//               pinning one refit per shard per published epoch.
-//   depth = 0   the serial coordinator survives (one plane buffer, the
-//               buffer wait is the barrier) and reports 0 stalls and
-//               max_inflight_planes = 1.
+// The pipelined coordinator, proven bitwise epoch by epoch: the
+// coordinator prepares drain N+1 on its one plane while persistent shard
+// executors absorb drain N from that drain's immutable tables, and it
+// publishes EXACTLY the epochs the deterministic ApplyOnce coordinator
+// publishes — same links, scores, labels, weights and design matrices at
+// 1, 2 and 4 shards, on grow-only AND churn streams, with factor counters
+// pinning one refit per shard per published epoch. The hand-off itself is
+// also checked without threads: a shard absorbing held tables after the
+// plane has moved on stays bitwise a lock-step run.
 //
 // The overlap itself is asserted through IngestStats::max_inflight_planes:
-// a backlogged pipelined run must reach ≥ 2 drains in flight — prepare
-// of drain N+1 running while drain N is still being absorbed.
+// a backlogged pipelined run must reach 2 drains in flight — prepare of
+// drain N+1 running while drain N is still being absorbed.
 
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -95,7 +94,6 @@ TEST_P(PipelineEquivalenceTest, PipelinedMatchesSerialAtEveryEpoch) {
   ASSERT_TRUE(reference.Start().ok());
 
   IngestorOptions pipe_options = ref_options;
-  pipe_options.pipeline_depth = 1;
   pipe_options.drain = DrainPolicy::kPerDelta;
   ShardedIngestor pipelined(std::move(s_pipe.initial), s_pipe.train_anchors,
                             std::move(s_pipe.initial_candidates),
@@ -143,7 +141,6 @@ TEST(PipelineEquivalenceTest, ChurnStreamStaysBitwiseUnderPipelining) {
   ASSERT_TRUE(reference.Start().ok());
 
   IngestorOptions pipe_options = ref_options;
-  pipe_options.pipeline_depth = 1;
   pipe_options.drain = DrainPolicy::kPerDelta;
   ShardedIngestor pipelined(std::move(s_pipe.initial), s_pipe.train_anchors,
                             std::move(s_pipe.initial_candidates),
@@ -184,7 +181,6 @@ TEST(PipelineEquivalenceTest, BackloggedPipelineOverlapsAndStaysBitwise) {
   // A standing backlog with per-delta drains: the coordinator must keep
   // preparing drain N+1 while the executors absorb drain N.
   IngestorOptions pipe_options = ref_options;
-  pipe_options.pipeline_depth = 1;
   pipe_options.drain = DrainPolicy::kPerDelta;
   ShardedIngestor pipelined(std::move(s_pipe.initial), s_pipe.train_anchors,
                             std::move(s_pipe.initial_candidates),
@@ -212,50 +208,10 @@ TEST(PipelineEquivalenceTest, BackloggedPipelineOverlapsAndStaysBitwise) {
   EXPECT_LE(stats.max_inflight_planes, 2u);
 }
 
-TEST(PipelineEquivalenceTest, DepthZeroIsSerialAndReportsNoOverlap) {
-  constexpr size_t kBatches = 4;
-  DeltaStream s_ref = CarvedStream(101, kBatches);
-  DeltaStream s_serial = CarvedStream(101, kBatches);
-
-  IngestorOptions ref_options;
-  ref_options.partition.num_shards = 2;
-  ShardedIngestor reference(std::move(s_ref.initial), s_ref.train_anchors,
-                            std::move(s_ref.initial_candidates),
-                            ref_options);
-  ASSERT_TRUE(reference.Start().ok());
-  for (const ServeDelta& batch : s_ref.batches) {
-    ASSERT_TRUE(reference.ApplyOnce(batch).ok());
-  }
-
-  IngestorOptions serial_options = ref_options;
-  serial_options.pipeline_depth = 0;
-  serial_options.drain = DrainPolicy::kPerDelta;
-  ShardedIngestor serial(std::move(s_serial.initial),
-                         s_serial.train_anchors,
-                         std::move(s_serial.initial_candidates),
-                         serial_options);
-  ASSERT_TRUE(serial.Start().ok());
-  serial.StartBackground();
-  for (ServeDelta& batch : s_serial.batches) {
-    serial.Submit(std::move(batch));
-  }
-  serial.Flush();
-  serial.Stop();
-  ASSERT_TRUE(serial.background_status().ok());
-
-  ExpectAllShardsBitwiseEqual(reference, serial, "serial final epoch");
-  const IngestStats stats = serial.stats();
-  EXPECT_EQ(stats.deltas_applied, kBatches);
-  // The serial contract: one buffer, no backpressure accounting, never
-  // more than one drain in flight.
-  EXPECT_EQ(stats.pipeline_stalls, 0u);
-  EXPECT_EQ(stats.max_inflight_planes, 1u);
-}
-
-TEST(PipelineEquivalenceTest, DeeperRingReplaysAndResumesDeterministically) {
+TEST(PipelineEquivalenceTest, BackgroundThenApplyOnceResumesDeterministically) {
   constexpr size_t kBatches = 6;
   DeltaStream s_ref = CarvedStream(103, kBatches);
-  DeltaStream s_deep = CarvedStream(103, kBatches);
+  DeltaStream s_pipe = CarvedStream(103, kBatches);
 
   IngestorOptions ref_options;
   ref_options.partition.num_shards = 2;
@@ -267,30 +223,99 @@ TEST(PipelineEquivalenceTest, DeeperRingReplaysAndResumesDeterministically) {
     ASSERT_TRUE(reference.ApplyOnce(batch).ok());
   }
 
-  // Depth 2 (three plane buffers): the first half runs pipelined with
-  // stale buffers replaying up to two missed drains, then Stop catches
-  // the primary up and the second half goes through ApplyOnce — the
-  // background → deterministic seam must also be bitwise.
-  IngestorOptions deep_options = ref_options;
-  deep_options.pipeline_depth = 2;
-  deep_options.drain = DrainPolicy::kPerDelta;
-  ShardedIngestor deep(std::move(s_deep.initial), s_deep.train_anchors,
-                       std::move(s_deep.initial_candidates), deep_options);
-  ASSERT_TRUE(deep.Start().ok());
-  deep.StartBackground();
+  // The first half runs pipelined, then the second half goes through
+  // ApplyOnce on the same plane — the background → deterministic seam
+  // must also be bitwise.
+  IngestorOptions pipe_options = ref_options;
+  pipe_options.drain = DrainPolicy::kPerDelta;
+  ShardedIngestor pipelined(std::move(s_pipe.initial), s_pipe.train_anchors,
+                            std::move(s_pipe.initial_candidates),
+                            pipe_options);
+  ASSERT_TRUE(pipelined.Start().ok());
+  pipelined.StartBackground();
   for (size_t b = 0; b < kBatches / 2; ++b) {
-    deep.Submit(std::move(s_deep.batches[b]));
+    pipelined.Submit(std::move(s_pipe.batches[b]));
   }
-  deep.Flush();
-  deep.Stop();
-  ASSERT_TRUE(deep.background_status().ok());
+  pipelined.Flush();
+  pipelined.Stop();
+  ASSERT_TRUE(pipelined.background_status().ok());
   for (size_t b = kBatches / 2; b < kBatches; ++b) {
-    ASSERT_TRUE(deep.ApplyOnce(s_deep.batches[b]).ok());
+    ASSERT_TRUE(pipelined.ApplyOnce(s_pipe.batches[b]).ok());
   }
 
-  ExpectAllShardsBitwiseEqual(reference, deep, "deep-ring final epoch");
-  EXPECT_LE(deep.stats().max_inflight_planes, 3u);
-  EXPECT_EQ(deep.stats().full_factorisations, 2 * (kBatches + 1));
+  ExpectAllShardsBitwiseEqual(reference, pipelined, "resumed final epoch");
+  EXPECT_LE(pipelined.stats().max_inflight_planes, 2u);
+  EXPECT_EQ(pipelined.stats().full_factorisations, 2 * (kBatches + 1));
+}
+
+// The pipeline's hand-off, without threads: drain N+1 is applied to and
+// refreshed on the plane BEFORE the shard absorbs drain N from the tables
+// it held, and the shard stays bitwise a lock-step run's at every epoch.
+TEST(PipelineEquivalenceTest, HeldTablesAbsorbBitwiseAfterThePlaneMovesOn) {
+  constexpr size_t kBatches = 4;
+  DeltaStream s = CarvedStream(109, kBatches, /*churn_fraction=*/0.4);
+  IngestorOptions options;  // one shard: its slice is the whole set
+  std::vector<size_t> ids(s.initial_candidates.size());
+  std::iota(ids.begin(), ids.end(), size_t{0});
+  std::vector<ServeDelta> routed;
+  size_t next_global_id = s.initial_candidates.size();
+  for (const ServeDelta& batch : s.batches) {
+    routed.push_back(
+        RouteServeDelta(batch, options.partition, next_global_id).front());
+    next_global_id += batch.new_candidates.size();
+  }
+
+  FeaturePlane ref_plane(s.initial, s.train_anchors, options.serve.features);
+  AlignmentService ref_service;
+  ModelShard reference(s.initial_candidates, ids, &ref_service, options);
+  ASSERT_TRUE(reference.Start(ref_plane).ok());
+
+  FeaturePlane plane(s.initial, s.train_anchors, options.serve.features);
+  AlignmentService service;
+  ModelShard shard(s.initial_candidates, ids, &service, options);
+  ASSERT_TRUE(shard.Start(plane).ok());
+
+  // What the coordinator hands an executor: the dirty columns and the
+  // tables of one prepared drain.
+  struct Prepared {
+    std::vector<size_t> dirty;
+    std::shared_ptr<const ProximityTables> tables;
+  };
+  auto prepare = [](FeaturePlane& p, const ServeDelta& batch) {
+    EXPECT_TRUE(ValidateCandidateEndpoints(p.pair(), batch).ok());
+    EXPECT_TRUE(p.Apply(batch.graph).ok());
+    Prepared out;
+    out.dirty = p.Refresh();
+    out.tables = p.tables();
+    return out;
+  };
+
+  Prepared held = prepare(plane, routed[0]);
+  for (size_t b = 0; b < kBatches; ++b) {
+    Prepared next;
+    if (b + 1 < kBatches) {
+      next = prepare(plane, routed[b + 1]);
+      ASSERT_NE(next.tables, held.tables);
+    }
+    ASSERT_TRUE(shard.ApplySlice(*held.tables, held.dirty, routed[b],
+                                 /*submitted_batches=*/1)
+                    .ok());
+
+    const Prepared lock_step = prepare(ref_plane, routed[b]);
+    ASSERT_TRUE(reference.ApplySlice(ref_plane, lock_step.dirty, routed[b],
+                                     /*submitted_batches=*/1)
+                    .ok());
+
+    const std::string what = "held-tables epoch " + std::to_string(b + 1);
+    ASSERT_NE(service.snapshot(), nullptr);
+    ExpectSnapshotsBitwiseEqual(*ref_service.snapshot(), *service.snapshot(),
+                                what);
+    EXPECT_EQ(Matrix::MaxAbsDiff(reference.design(), shard.design()), 0.0)
+        << what;
+    EXPECT_EQ(reference.global_ids(), shard.global_ids()) << what;
+    held = std::move(next);
+  }
+  EXPECT_GT(shard.stats().rows_removed, 0u);  // the stream churned
 }
 
 }  // namespace

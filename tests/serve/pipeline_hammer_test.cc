@@ -1,13 +1,14 @@
 // Pipelined-coordinator concurrency hammer: reader threads pound the
-// ShardRouter while the double-buffered coordinator runs with ACTIVE
-// backpressure — a submit queue capped at 2 forces the producer to block
-// on the shards, and per-delta drains keep both pipeline stages busy, so
-// TSan (the dedicated CI job picks this up via the serve_ regex) sees the
-// full hand-off surface: plane-ring acquisition/release, executor
-// mailboxes, per-shard snapshot swaps racing TopK readers, and the
-// Submit-side stall path. Under any build it checks reader-visible
-// invariants: the router's min-epoch never regresses, merged answers stay
-// in serving order, and ScorePair agrees with TopKFor's world.
+// ShardRouter while the coordinator runs with ACTIVE backpressure — a
+// submit queue capped at 2 forces the producer to block on the shards,
+// and per-delta drains keep both pipeline stages busy, so TSan (the
+// dedicated CI job picks this up via the serve_ regex) sees the full
+// hand-off surface: the plane refreshing drain N+1 while executors read
+// drain N's tables, the two-drains-in-flight wait, executor mailboxes,
+// per-shard snapshot swaps racing TopK readers, and the Submit-side stall
+// path. Under any build it checks reader-visible invariants: the router's
+// min-epoch never regresses, merged answers stay in serving order, and
+// ScorePair agrees with TopKFor's world.
 
 #include <atomic>
 #include <thread>
@@ -45,7 +46,6 @@ TEST(PipelineHammerTest, ReadersRacePipelinedIngestUnderBackpressure) {
   IngestorOptions options;
   options.partition.num_shards = 2;
   options.serve.features.pool = &pool;
-  options.pipeline_depth = 1;
   options.drain = DrainPolicy::kPerDelta;
   // Two queued batches max: with 10 per-delta submits the producer MUST
   // hit backpressure and block on the shards.

@@ -13,15 +13,14 @@ Direction is inferred from the metric name: *_ms / *_seconds / *_us /
 per-stage event tallies) is reported without judgement. The tolerance is deliberately generous
 (default 50%) — shared runners routinely swing that much.
 
-Schema drift is expected as the records grow fields (e.g. the per-stage
-stage_us breakdown and detached/attached throughput pairs in
-BENCH_serve.json): only the key intersection is diffed, baseline keys
+Schema drift is expected as the records grow fields (e.g. new blocks in
+BENCH_kernels.json): only the key intersection is diffed, baseline keys
 missing from the fresh record are listed as a notice, and a baseline with
 no overlap at all is reported as a schema change — never an error.
 
 Usage (from the repo root):
   python3 tools/check_bench_regression.py \
-      --fresh BENCH_kernels.json --fresh BENCH_serve.json \
+      --fresh BENCH_kernels.json \
       --baseline-ref HEAD --summary "$GITHUB_STEP_SUMMARY"
 """
 
@@ -132,7 +131,7 @@ def main():
 
     lines = ["## Bench deltas (warn-only)"]
     warnings = []
-    for path in args.fresh or ["BENCH_kernels.json", "BENCH_serve.json"]:
+    for path in args.fresh or ["BENCH_kernels.json"]:
         compare(path, args.baseline_ref, lines, warnings)
     lines.append(f"\n_Flag threshold: ±{TOLERANCE:.0%} on directional "
                  "metrics; informational otherwise. Never fails the job._")

@@ -6,9 +6,8 @@
 //             [--churn-frac F]
 //             [--query-threads N] [--queries-per-thread N] [--topk K]
 //             [--threads N] [--shards LIST] [--shard-block N]
-//             [--drain coalesce|per-delta] [--pipeline-depth N]
-//             [--submit-limit N] [--stats_json PATH]
-//             [--metrics_json PATH] [--trace_out PATH]
+//             [--drain coalesce|per-delta] [--submit-limit N]
+//             [--stats_json PATH] [--metrics_json PATH] [--trace_out PATH]
 //
 // For each shard count in `--shards` (comma-separated, e.g. "1,2,4") the
 // same carved workload runs once: a ShardedIngestor coordinator drains the
@@ -68,13 +67,12 @@ struct Flags {
   double churn_frac = 0.0;  // > 0 interleaves shrink batches (see carver)
   size_t query_threads = 4;
   size_t queries_per_thread = 2000;
-  size_t topk = 0;  // 0 = IngestorOptions::default_top_k
+  size_t topk = 10;
   size_t threads = 0;  // kernel pool; 0 = serial
   std::vector<size_t> shards = {1};
   size_t shard_block = 1;
   std::string drain = "coalesce";
-  size_t pipeline_depth = 1;  // 0 = serial coordinator
-  size_t submit_limit = 0;    // 0 = unbounded queue (no backpressure)
+  size_t submit_limit = 0;  // 0 = unbounded queue (no backpressure)
   std::string stats_json;
   std::string metrics_json;
   std::string trace_out;
@@ -133,8 +131,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->shard_block = std::strtoull(v, nullptr, 10);
     } else if (arg == "--drain" && (v = next())) {
       flags->drain = v;
-    } else if (arg == "--pipeline-depth" && (v = next())) {
-      flags->pipeline_depth = std::strtoull(v, nullptr, 10);
     } else if (arg == "--submit-limit" && (v = next())) {
       flags->submit_limit = std::strtoull(v, nullptr, 10);
     } else if (arg == "--stats_json" && (v = next())) {
@@ -150,6 +146,10 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   }
   if (flags->drain != "coalesce" && flags->drain != "per-delta") {
     std::cerr << "--drain wants coalesce or per-delta\n";
+    return false;
+  }
+  if (flags->topk == 0) {
+    std::cerr << "--topk wants k >= 1\n";
     return false;
   }
   return true;
@@ -241,7 +241,6 @@ RunResult RunOnce(const Flags& flags, size_t shard_count, ThreadPool* pool,
                                              : DrainPolicy::kCoalesce;
   options.partition.num_shards = shard_count;
   options.partition.block_size = flags.shard_block;
-  options.pipeline_depth = flags.pipeline_depth;
   options.submit_queue_limit = flags.submit_limit;
   options.obs = obs;
 
@@ -256,8 +255,6 @@ RunResult RunOnce(const Flags& flags, size_t shard_count, ThreadPool* pool,
   const QueryBackend& backend = ingestor.backend();
   std::cout << "[shards " << shard_count << "] epoch 0 published in "
             << StrFormat("%.3f s", start_watch.ElapsedSeconds()) << "\n";
-
-  const size_t topk = flags.topk > 0 ? flags.topk : options.default_top_k;
 
   // Readers hammer the query surface while the shards swap epochs under
   // them; each thread records its query latencies for the percentile
@@ -285,7 +282,7 @@ RunResult RunOnce(const Flags& flags, size_t shard_count, ThreadPool* pool,
         last_epoch = epoch;
         NodeId u1 = static_cast<NodeId>(rng.UniformInt(users_first));
         const auto begin = std::chrono::steady_clock::now();
-        auto topk_result = backend.TopKFor(u1, topk);
+        auto topk_result = backend.TopKFor(u1, flags.topk);
         const auto end = std::chrono::steady_clock::now();
         lat.push_back(
             std::chrono::duration<double, std::micro>(end - begin).count());
@@ -402,7 +399,6 @@ bool WriteStatsJson(const Flags& flags,
       << "  \"seed\": " << flags.seed << ",\n"
       << "  \"batches\": " << flags.batches << ",\n"
       << "  \"drain\": \"" << flags.drain << "\",\n"
-      << "  \"pipeline_depth\": " << flags.pipeline_depth << ",\n"
       << "  \"query_threads\": " << flags.query_threads << ",\n"
       << "  \"runs\": [\n";
   for (size_t i = 0; i < runs.size(); ++i) {

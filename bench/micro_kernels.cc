@@ -9,11 +9,12 @@
 //     (incremental SpGEMM vs full recompute with its measured crossover
 //     sweep), of the ridge kernels (RidgePrepared::Create and Predict at
 //     the offline fold's shape, the tiled dense solve, and a serve shard's
-//     per-drain ridge refit), of the selection kernels (greedy selection
-//     and the conflict query round at 20,000 links, and greedy selection
-//     on separable scores over K_{143,143}) and of feature extraction (the
-//     offline fold's Extract and a bench-scale delta refresh), written as
-//     compact JSON. CI re-records it as BENCH_kernels.json; the committed
+//     per-drain ridge refit from its CSR X), of the selection kernels
+//     (greedy selection and the conflict query round at 20,000 links, and
+//     greedy selection on separable scores over K_{143,143}) and of feature
+//     extraction (the offline fold's Extract, a bench-scale delta refresh
+//     and a shard's gather from the refreshed tables), written as compact
+//     JSON. CI re-records it as BENCH_kernels.json; the committed
 //     copy is the PR's perf baseline.
 
 #include <algorithm>
@@ -33,6 +34,7 @@
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
 #include "src/eval/protocol.h"
+#include "src/graph/partition.h"
 #include "src/learn/ridge.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/sparse_ops.h"
@@ -500,13 +502,18 @@ struct ExtractionRecord {
   double extract_ms = 0.0;
   size_t refresh_batches = 0;
   double refresh_p50_ms = 0.0;
+  size_t gather_candidates = 0;
+  double shard_gather_ms = 0.0;
 };
 
-// Both serial, on the Foursquare–Twitter-like pair at seed 42: Extract of
+// All serial, on the Foursquare–Twitter-like pair at seed 42: Extract of
 // fold 0 under the offline workload's protocol (θ = 50, γ = 0.6, 10
-// folds), and the median Refresh over a stream carved like the ingest
+// folds), the median Refresh over a stream carved like the ingest
 // workloads' (128 batches, np-ratio 40) — each delta applied, noted and
-// refreshed in turn, as FeaturePlane does per batch.
+// refreshed in turn, as FeaturePlane does per batch — and then
+// ProximityTables::Gather from the last refresh's tables over one of two
+// shards' slices of the stream's final candidates (about half), as a
+// serve shard gathers its X every drain.
 ExtractionRecord RecordExtraction() {
   ExtractionRecord rec;
   auto pair = AlignedNetworkGenerator(FoursquareTwitterPreset(42)).Generate();
@@ -531,9 +538,11 @@ ExtractionRecord RecordExtraction() {
   DeltaFeatureExtractor extractor(live, stream.value().train_anchors);
   (void)extractor.Refresh();  // epoch 0 computes every diagram
   std::vector<double> refresh_ms;
+  CandidateLinkSet candidates = stream.value().initial_candidates;
   for (const ServeDelta& batch : stream.value().batches) {
     (void)live.ApplyDelta(batch.graph);
     extractor.NoteDelta(batch.graph);
+    for (const auto& [u1, u2] : batch.new_candidates) candidates.Add(u1, u2);
     Stopwatch watch;
     (void)extractor.Refresh();
     refresh_ms.push_back(watch.ElapsedMillis());
@@ -543,6 +552,15 @@ ExtractionRecord RecordExtraction() {
                    refresh_ms.begin() + refresh_ms.size() / 2,
                    refresh_ms.end());
   rec.refresh_p50_ms = refresh_ms[refresh_ms.size() / 2];
+
+  ShardPartition halves;
+  halves.num_shards = 2;
+  const CandidateSlice slice =
+      std::move(PartitionCandidates(candidates, halves).front());
+  rec.gather_candidates = slice.links.size();
+  const auto tables = extractor.tables();
+  rec.shard_gather_ms =
+      TimeMs(5, 20, [&] { (void)tables->Gather(slice.links); });
   return rec;
 }
 
@@ -599,9 +617,11 @@ int RunRecord(const std::string& path) {
   const double solve_ms =
       TimeMs(5, 4, [&] { (void)factor.value().SolveMatrix(rhs); });
   // A serve shard's per-drain refit at its operating point (~4,800 rows
-  // of d = 30): one RidgePrepared::Create plus one factorisation of
+  // of d = 30) from the CSR X its gather built (compressed once, outside
+  // the timer): one RidgePrepared::Create plus one factorisation of
   // I + cG.
-  Matrix shard_design = RidgeBenchDesign(4800, 30);
+  const auto shard_design = std::make_shared<const SparseMatrix>(
+      CompressDense(RidgeBenchDesign(4800, 30)));
   const double refit_ms = TimeMs(5, 20, [&] {
     (void)RidgePrepared::Create(shard_design).SolverFor(1.0);
   });
@@ -639,9 +659,10 @@ int RunRecord(const std::string& path) {
   ExtractionRecord extraction = RecordExtraction();
   std::fprintf(stderr,
                "extract  fold 0 (%zu links): %.3f ms; refresh p50 over %zu "
-               "batches: %.3f ms\n",
+               "batches: %.3f ms; shard gather (%zu links): %.3f ms\n",
                extraction.fold_candidates, extraction.extract_ms,
-               extraction.refresh_batches, extraction.refresh_p50_ms);
+               extraction.refresh_batches, extraction.refresh_p50_ms,
+               extraction.gather_candidates, extraction.shard_gather_ms);
 
   std::fprintf(out, "{\n  \"bench\": \"kernels\",\n");
   std::fprintf(out,
@@ -680,9 +701,11 @@ int RunRecord(const std::string& path) {
   std::fprintf(out,
                "  \"extraction\": {\"fold_candidates\": %zu, "
                "\"extract_ms\": %.4f, \"refresh_batches\": %zu, "
-               "\"refresh_p50_ms\": %.4f}\n}\n",
+               "\"refresh_p50_ms\": %.4f, \"gather_candidates\": %zu, "
+               "\"shard_gather_ms\": %.4f}\n}\n",
                extraction.fold_candidates, extraction.extract_ms,
-               extraction.refresh_batches, extraction.refresh_p50_ms);
+               extraction.refresh_batches, extraction.refresh_p50_ms,
+               extraction.gather_candidates, extraction.shard_gather_ms);
   std::fclose(out);
   std::fprintf(stderr, "wrote %s (measured crossover fraction: %.3f)\n",
                path.c_str(), crossover);

@@ -9,12 +9,9 @@ Result<AlignmentSession> AlignmentSession::Create(const Matrix& x,
     return Status::InvalidArgument(
         "incidence index size must match feature rows");
   }
-  auto prepared =
-      std::make_shared<RidgePrepared>(RidgePrepared::Create(x, pool));
-  auto solver = prepared->SolverFor(c);
-  if (!solver.ok()) return solver.status();
-  return AlignmentSession(&index, std::move(prepared),
-                          std::move(solver).value());
+  return CreateFromPrepared(
+      std::make_shared<RidgePrepared>(RidgePrepared::Create(x, pool)), index,
+      c);
 }
 
 Result<AlignmentSession> AlignmentSession::CreateFromPrepared(

@@ -43,12 +43,10 @@ class ThreadPool;
 /// session (it is borrowed); the compressed X and the pin state are owned.
 class AlignmentSession {
  public:
-  /// Builds the session: X compressed by rows (row blocks over `pool` when
-  /// given, identical to serial) and by columns, one Gram product and one
-  /// Cholesky factorisation of I + cXᵀX. Pins start kFree. A changed
-  /// design matrix needs a new session: the serve layer re-creates its
-  /// session once per drain, so a served model is always exactly what this
-  /// call forms from scratch.
+  /// Builds the session from a dense X: RidgePrepared's dense entry (X
+  /// compressed by rows over `pool` when given, identical to serial, and
+  /// by columns; one Gram product), then one Cholesky factorisation of
+  /// I + cXᵀX. Pins start kFree.
   static Result<AlignmentSession> Create(const Matrix& x,
                                          const IncidenceIndex& index,
                                          double c,
@@ -56,7 +54,9 @@ class AlignmentSession {
 
   /// Derives a session from an existing prepared Gram: one Cholesky
   /// factorisation, zero passes over X (e.g. a fold's sessions that differ
-  /// only in c share one compressed X and one Gram).
+  /// only in c share one compressed X and one Gram). A serve shard derives
+  /// its session here from its CSR X once per drain, so a served model is
+  /// always exactly what a fresh build forms.
   static Result<AlignmentSession> CreateFromPrepared(
       std::shared_ptr<RidgePrepared> prepared, const IncidenceIndex& index,
       double c);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/string_util.h"
-#include "src/linalg/sparse_ops.h"
 
 namespace activeiter {
 
@@ -141,17 +140,35 @@ const std::vector<std::pair<NodeId, NodeId>>& HeteroNetwork::Edges(
 }
 
 SparseMatrix HeteroNetwork::AdjacencyMatrix(RelationType relation) const {
-  size_t rows = NodeCount(RelationSourceType(relation));
-  size_t cols = NodeCount(RelationTargetType(relation));
-  std::vector<Triplet> trips;
+  const size_t rows = NodeCount(RelationSourceType(relation));
+  const size_t cols = NodeCount(RelationTargetType(relation));
   const auto& list = edges_[static_cast<size_t>(relation)];
-  trips.reserve(list.size());
-  for (const auto& [src, dst] : list) {
-    trips.push_back({src, dst, 1.0});
+  // Targets bucketed by source (count, prefix-sum, scatter; endpoints were
+  // range-checked on insertion), then each short row sorted and compacted
+  // in place: duplicate insertions collapse to one 0/1 entry.
+  std::vector<size_t> row_ptr(rows + 1, 0);
+  for (const auto& edge : list) ++row_ptr[edge.first + 1];
+  for (size_t i = 0; i < rows; ++i) row_ptr[i + 1] += row_ptr[i];
+  std::vector<size_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  std::vector<uint32_t> col_idx(list.size());
+  for (const auto& [src, dst] : list) col_idx[cursor[src]++] = dst;
+  size_t kept = 0;
+  for (size_t i = 0, begin = 0; i < rows; ++i) {
+    const size_t end = row_ptr[i + 1], row_start = kept;
+    std::sort(col_idx.data() + begin, col_idx.data() + end);
+    for (size_t k = begin; k < end; ++k) {
+      if (kept == row_start || col_idx[kept - 1] != col_idx[k]) {
+        col_idx[kept++] = col_idx[k];
+      }
+    }
+    row_ptr[i + 1] = kept;
+    begin = end;
   }
-  SparseMatrix raw = SparseMatrix::FromTriplets(rows, cols, std::move(trips));
-  // Duplicate insertions accumulate counts > 1; adjacency is 0/1.
-  return Binarize(raw);
+  col_idx.resize(kept);
+  std::vector<double> values(kept, 1.0);
+  return SparseMatrix::FromCsrUnchecked(rows, cols, std::move(row_ptr),
+                                        std::move(col_idx),
+                                        std::move(values));
 }
 
 size_t HeteroNetwork::FollowOutDegree(NodeId u) const {

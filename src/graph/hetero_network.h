@@ -104,8 +104,9 @@ class HeteroNetwork {
   const std::vector<std::pair<NodeId, NodeId>>& Edges(
       RelationType relation) const;
 
-  /// Returns the 0/1 adjacency matrix of `relation`
-  /// (rows = source type ids, cols = target type ids, deduplicated).
+  /// Returns the 0/1 adjacency matrix of `relation` (rows = source type
+  /// ids, cols = target type ids, deduplicated), bucketed by source with
+  /// no sort over the whole edge list.
   SparseMatrix AdjacencyMatrix(RelationType relation) const;
 
   /// Out-degree of user `u` in the follow relation.

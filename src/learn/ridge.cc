@@ -29,11 +29,16 @@ Matrix GramOfRows(const SparseMatrix& rows) {
 
 }  // namespace
 
-RidgePrepared RidgePrepared::Create(const Matrix& x, ThreadPool* pool) {
-  auto rows = std::make_shared<const SparseMatrix>(CompressDense(x, pool));
+RidgePrepared RidgePrepared::Create(std::shared_ptr<const SparseMatrix> rows,
+                                    ThreadPool* pool) {
   auto columns = std::make_shared<const SparseMatrix>(Transpose(*rows, pool));
   Matrix gram = GramOfRows(*rows);
   return RidgePrepared(std::move(rows), std::move(columns), std::move(gram));
+}
+
+RidgePrepared RidgePrepared::Create(const Matrix& x, ThreadPool* pool) {
+  return Create(std::make_shared<const SparseMatrix>(CompressDense(x, pool)),
+                pool);
 }
 
 Result<RidgeSolver> RidgePrepared::SolverFor(double c) const {

@@ -16,9 +16,9 @@
 //                    vectors.
 //
 // Meta-diagram features are sparse: a fold's 20,400 × 30 X is ~6% nonzero
-// and half its rows hold only the bias. Create reads the dense X once, in
-// row blocks over a pool when given (identical to serial), and nothing
-// reads it afterwards: X may be destroyed as soon as Create returns. The
+// and half its rows hold only the bias. Create takes X in CSR, or dense and
+// reads it once (row blocks over a pool when given, identical to serial):
+// a dense X may be destroyed as soon as Create returns. The
 // compressed copies are shared (shared_ptr) by the RidgePrepared and by
 // every solver derived from it, and each later pass costs O(nnz), not
 // O(|H|·d):
@@ -104,9 +104,12 @@ class RidgeSolver {
 /// again.
 class RidgePrepared {
  public:
-  /// Compresses `x` into its row and column copies and forms the Gram
-  /// product. The row compression is split into row blocks over `pool`
-  /// when given (identical to serial for any pool).
+  /// Shares X already in CSR (a serve shard's gather) as the row copy,
+  /// transposes it (over `pool` when given) and forms the Gram product.
+  static RidgePrepared Create(std::shared_ptr<const SparseMatrix> rows,
+                              ThreadPool* pool = nullptr);
+  /// The dense entry: CompressDense(x) (row blocks over `pool` when given,
+  /// identical to serial), then the CSR entry.
   static RidgePrepared Create(const Matrix& x, ThreadPool* pool = nullptr);
 
   /// Derives the per-c solver: factors I + c·XᵀX from the cached Gram.

@@ -19,46 +19,6 @@ Vector Matrix::Row(size_t i) const {
   return out;
 }
 
-void Matrix::AppendRow(const Vector& row) {
-  if (rows_ == 0 && cols_ == 0) cols_ = row.size();
-  ACTIVEITER_CHECK_MSG(row.size() == cols_, "AppendRow width mismatch");
-  data_.insert(data_.end(), row.data(), row.data() + cols_);
-  ++rows_;
-}
-
-void Matrix::AppendRows(const Matrix& rows) {
-  if (rows.rows_ == 0) return;
-  if (rows_ == 0 && cols_ == 0) cols_ = rows.cols_;
-  ACTIVEITER_CHECK_MSG(rows.cols_ == cols_, "AppendRows width mismatch");
-  data_.insert(data_.end(), rows.data_.begin(), rows.data_.end());
-  rows_ += rows.rows_;
-}
-
-void Matrix::RemoveRows(const std::vector<size_t>& sorted_ids) {
-  if (sorted_ids.empty()) return;
-  size_t next_removed = 0;
-  size_t write = 0;
-  for (size_t i = 0; i < rows_; ++i) {
-    if (next_removed < sorted_ids.size() && sorted_ids[next_removed] == i) {
-      ACTIVEITER_CHECK_MSG(
-          next_removed + 1 == sorted_ids.size() ||
-              sorted_ids[next_removed + 1] > i,
-          "RemoveRows ids must be strictly increasing");
-      ++next_removed;
-      continue;
-    }
-    if (write != i) {
-      std::copy(data_.begin() + i * cols_, data_.begin() + (i + 1) * cols_,
-                data_.begin() + write * cols_);
-    }
-    ++write;
-  }
-  ACTIVEITER_CHECK_MSG(next_removed == sorted_ids.size(),
-                       "RemoveRows id out of range");
-  rows_ = write;
-  data_.resize(rows_ * cols_);
-}
-
 Matrix Matrix::Transpose() const {
   Matrix out(cols_, rows_);
   for (size_t i = 0; i < rows_; ++i) {

@@ -52,22 +52,6 @@ class Matrix {
   /// Copies row i into a Vector.
   Vector Row(size_t i) const;
 
-  /// Appends one row (size must equal cols(); only a default-constructed
-  /// 0×0 matrix adopts the row's dimension — a shaped 0×n matrix keeps
-  /// its width check). Amortised O(cols): the row-major storage grows.
-  void AppendRow(const Vector& row);
-
-  /// Appends every row of `rows` (same width rules as AppendRow). The
-  /// online ingest path grows the design matrix with this instead of
-  /// rebuilding it.
-  void AppendRows(const Matrix& rows);
-
-  /// Erases the rows named in `sorted_ids` (strictly increasing, all in
-  /// range — CHECKed), compacting the survivors in order. The shrink twin
-  /// of AppendRows: the ingest path drops removed candidate rows with
-  /// this. O(rows × cols) single pass.
-  void RemoveRows(const std::vector<size_t>& sorted_ids);
-
   /// Matrix transpose.
   Matrix Transpose() const;
 

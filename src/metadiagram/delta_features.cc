@@ -462,12 +462,7 @@ DeltaFeatureExtractor::RowUpdateDirtyRoots(const ProductPlanCache& old_cache) {
 
 Matrix DeltaFeatureExtractor::Extract(const CandidateLinkSet& candidates) {
   Refresh();
-  Matrix x(candidates.size(), tables_->dimension());
-  for (size_t k = 0; k < tables_->dimension(); ++k) {
-    Vector col = tables_->Column(k, candidates);
-    for (size_t i = 0; i < candidates.size(); ++i) x(i, k) = col(i);
-  }
-  return x;
+  return tables_->Gather(candidates).ToDense();
 }
 
 std::shared_ptr<const ProximityTables> DeltaFeatureExtractor::tables() const {
@@ -476,20 +471,79 @@ std::shared_ptr<const ProximityTables> DeltaFeatureExtractor::tables() const {
   return tables_;
 }
 
-Vector ProximityTables::Column(size_t k,
-                               const CandidateLinkSet& candidates) const {
-  ACTIVEITER_CHECK(k <= scores_.size());
-  if (k == scores_.size()) return Vector::Ones(candidates.size());
-  return scores_[k]->ScoresFor(candidates);
-}
-
-Vector ProximityTables::RowFor(NodeId u1, NodeId u2) const {
-  Vector row(scores_.size() + 1);
-  for (size_t k = 0; k < scores_.size(); ++k) {
-    row(k) = scores_[k]->Score(u1, u2);
+SparseMatrix ProximityTables::Gather(
+    const CandidateLinkSet& candidates) const {
+  ACTIVEITER_CHECK_MSG(candidates.removed_count() == 0,
+                       "Gather reads a compacted candidate set");
+  for (const auto& table : scores_) {
+    ACTIVEITER_CHECK(table->counts().rows() == users_first_ &&
+                     table->counts().cols() == users_second_);
   }
-  row(scores_.size()) = 1.0;
-  return row;
+  const auto& links = candidates.links();
+  const size_t n = links.size();
+  // Link ids bucketed by network-1 user: count, prefix-sum, scatter.
+  std::vector<size_t> user_ptr(users_first_ + 1, 0);
+  for (const auto& [u1, u2] : links) {
+    ACTIVEITER_CHECK_MSG(u1 < users_first_ && u2 < users_second_,
+                         "candidate outside the tables' user universes");
+    ++user_ptr[u1 + 1];
+  }
+  for (size_t u = 0; u < users_first_; ++u) user_ptr[u + 1] += user_ptr[u];
+  std::vector<size_t> cursor(user_ptr.begin(), user_ptr.end() - 1);
+  std::vector<uint32_t> by_user(n);
+  for (uint32_t id = 0; id < n; ++id) by_user[cursor[links[id].first]++] = id;
+
+  // Per user, partner[u2] heads the chain (through next_link) of its links
+  // to u2, as a pair may repeat; then its row of every table is walked in
+  // column order, so each link meets its columns ascending.
+  struct Entry {
+    uint32_t link, col;
+    double value;
+  };
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> partner(users_second_, kNone), next_link(n, kNone);
+  std::vector<Entry> entries;
+  std::vector<size_t> row_ptr(n + 1, 0);  // entries per link, then offsets
+  for (size_t u = 0; u < users_first_; ++u) {
+    const uint32_t* first = by_user.data() + user_ptr[u];
+    const uint32_t* last = by_user.data() + user_ptr[u + 1];
+    if (first == last) continue;
+    for (const uint32_t* id = first; id != last; ++id) {
+      next_link[*id] = std::exchange(partner[links[*id].second], *id);
+    }
+    for (uint32_t k = 0; k < scores_.size(); ++k) {
+      const SparseMatrix& counts = scores_[k]->counts();
+      for (size_t e = counts.row_ptr()[u]; e < counts.row_ptr()[u + 1]; ++e) {
+        const uint32_t u2 = counts.col_idx()[e];
+        const double c = counts.values()[e];
+        if (partner[u2] == kNone || c == 0.0) continue;
+        const double value = scores_[k]->DiceOf(u, u2, c);
+        if (value == 0.0) continue;  // CompressDense would drop it
+        for (uint32_t id = partner[u2]; id != kNone; id = next_link[id]) {
+          entries.push_back({id, k, value});
+          ++row_ptr[id + 1];
+        }
+      }
+    }
+    for (const uint32_t* id = first; id != last; ++id) {
+      partner[links[*id].second] = kNone;
+    }
+  }
+
+  // A stable scatter by link keeps each row's columns ascending; the bias
+  // closes every row.
+  for (size_t id = 0; id < n; ++id) row_ptr[id + 1] += row_ptr[id] + 1;
+  const auto bias = static_cast<uint32_t>(scores_.size());
+  std::vector<uint32_t> col_idx(row_ptr[n], bias);
+  std::vector<double> values(row_ptr[n], 1.0);
+  cursor.assign(row_ptr.begin(), row_ptr.end() - 1);
+  for (const Entry& e : entries) {
+    col_idx[cursor[e.link]] = e.col;
+    values[cursor[e.link]++] = e.value;
+  }
+  return SparseMatrix::FromCsrUnchecked(n, dimension(), std::move(row_ptr),
+                                        std::move(col_idx),
+                                        std::move(values));
 }
 
 }  // namespace activeiter

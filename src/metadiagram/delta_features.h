@@ -80,11 +80,12 @@ class ProximityTables {
   /// Diagram k's table (k < dimension() - 1).
   const ProximityScores& table(size_t k) const { return *scores_[k]; }
 
-  /// Column k for the given candidates (k == dimension() - 1 → bias ones).
-  Vector Column(size_t k, const CandidateLinkSet& candidates) const;
-
-  /// One feature row (bias included) for a single pair.
-  Vector RowFor(NodeId u1, NodeId u2) const;
+  /// The |H| × dimension() feature matrix of a compacted candidate set in
+  /// CSR, bias 1.0 in every row: each network-1 user's row of each count
+  /// table is walked once, and only nonzero Dice values are stored, so X is
+  /// bitwise CompressDense of the dense X per-pair Score() fills. Scratch
+  /// is local, so threads may gather from one tables object at once.
+  SparseMatrix Gather(const CandidateLinkSet& candidates) const;
 
  private:
   std::vector<std::shared_ptr<const ProximityScores>> scores_;
@@ -130,8 +131,9 @@ class DeltaFeatureExtractor {
   std::vector<size_t> Refresh();
 
   /// |H| × (feature_names().size() + 1) feature matrix over the current
-  /// graph state (bitwise-identical to a fresh FeatureExtractor). Runs
-  /// Refresh() implicitly when deltas are pending.
+  /// graph state: the tables' Gather, densified (bitwise-identical to a
+  /// fresh FeatureExtractor). Runs Refresh() implicitly when deltas are
+  /// pending.
   Matrix Extract(const CandidateLinkSet& candidates);
 
   /// The tables the last Refresh() published. Refresh() must be up to

@@ -18,12 +18,11 @@ ProximityScores ProximityScores::PaddedTo(size_t rows, size_t cols) const {
 }
 
 double ProximityScores::Score(NodeId u1, NodeId u2) const {
-  double numer = 2.0 * counts_.At(u1, u2);
-  if (numer == 0.0) return 0.0;
-  double denom = row_sums_(u1) + col_sums_(u2);
-  // denom >= numer/1 > 0 whenever numer > 0 (the (i,j) instances are part
-  // of both sums), so this division is safe.
-  return numer / denom;
+  const double count = counts_.At(u1, u2);  // checks u1 and u2
+  if (count == 0.0) return 0.0;
+  // The denominator is at least 2c > 0 whenever c > 0 (the (i,j) instances
+  // are part of both sums), so this division is safe.
+  return DiceOf(u1, u2, count);
 }
 
 Vector ProximityScores::ScoresFor(const CandidateLinkSet& candidates) const {

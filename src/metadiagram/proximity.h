@@ -25,6 +25,12 @@ class ProximityScores {
   /// all (0/0 treated as 0).
   double Score(NodeId u1, NodeId u2) const;
 
+  /// 2c / (|P(u1, ·)| + |P(·, u2)|) for a pair with c = `count` instances
+  /// (unchecked): the one expression of Score() and ProximityTables::Gather.
+  double DiceOf(NodeId u1, NodeId u2, double count) const {
+    return 2.0 * count / (row_sums_.data()[u1] + col_sums_.data()[u2]);
+  }
+
   /// Proximity for each candidate link, in candidate order.
   Vector ScoresFor(const CandidateLinkSet& candidates) const;
 

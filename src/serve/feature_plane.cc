@@ -23,9 +23,4 @@ std::vector<size_t> FeaturePlane::Refresh() {
   return extractor_.Refresh();
 }
 
-Matrix FeaturePlane::Extract(const CandidateLinkSet& candidates) {
-  TraceSpan span(obs_.tracer, "ingest.plane_extract");
-  return extractor_.Extract(candidates);
-}
-
 }  // namespace activeiter

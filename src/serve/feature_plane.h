@@ -17,10 +17,10 @@
 // from the tables they hold while the writer applies and refreshes drain
 // N+1 on the plane.
 //
-// Writer discipline: exactly one thread calls Apply/Refresh/Extract at a
-// time, and nothing else reads the pair, the anchors or the engine while
-// it does. ShardedIngestor's coordinator is that thread; its shard
-// executors read only the tables handed to them.
+// Writer discipline: exactly one thread calls Apply/Refresh at a time,
+// and nothing else reads the pair, the anchors or the engine while it
+// does. ShardedIngestor's coordinator is that thread; its shard executors
+// read only the tables handed to them.
 
 #ifndef ACTIVEITER_SERVE_FEATURE_PLANE_H_
 #define ACTIVEITER_SERVE_FEATURE_PLANE_H_
@@ -30,7 +30,6 @@
 
 #include "src/common/status.h"
 #include "src/graph/aligned_pair.h"
-#include "src/graph/incidence.h"
 #include "src/metadiagram/delta_features.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -54,7 +53,7 @@ class FeaturePlane {
     return train_anchors_;
   }
 
-  /// Attaches observability sinks (spans around Apply/Refresh/Extract).
+  /// Attaches observability sinks (spans around Apply and Refresh).
   /// Called by the owning ingestor before Start(); detached by default.
   void set_obs(ObsSinks obs) { obs_ = obs; }
 
@@ -65,10 +64,6 @@ class FeaturePlane {
   /// Brings the proximity tables up to date; returns the dirty feature
   /// column indices, ascending (all columns on the first call).
   std::vector<size_t> Refresh();
-
-  /// Full |H| × dimension design matrix over `candidates` (runs Refresh()
-  /// implicitly when pending). Writer-side only.
-  Matrix Extract(const CandidateLinkSet& candidates);
 
   /// The proximity tables of the last Refresh() (which must be up to
   /// date). Immutable: safe to read from any number of threads, also

@@ -1,6 +1,7 @@
 #include "src/serve/ingestor.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace activeiter {
 namespace {
@@ -11,6 +12,34 @@ Counter& RowsRemovedCounter() {
   static Counter* counter = MetricsRegistry::Default().GetCounter(
       "serve.ingest.rows_removed");
   return *counter;
+}
+
+// The rows of `before` that survive the removal of `removed` (ascending)
+// are rows 0, 1, ... of `after`: counts those whose entries moved, in
+// column or in value bits.
+size_t CountChangedRows(const SparseMatrix& before,
+                        const std::vector<size_t>& removed,
+                        const SparseMatrix& after) {
+  const auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+  const uint32_t* b_col = before.col_idx().data();
+  const uint32_t* a_col = after.col_idx().data();
+  const double* b_val = before.values().data();
+  const double* a_val = after.values().data();
+  size_t changed = 0, next_removed = 0, r = 0;
+  for (size_t i = 0; i < before.rows(); ++i) {
+    if (next_removed < removed.size() && removed[next_removed] == i) {
+      ++next_removed;
+      continue;
+    }
+    const size_t b = before.row_ptr()[i], e = before.row_ptr()[i + 1];
+    const size_t a = after.row_ptr()[r], nnz = after.RowNnz(r++);
+    changed += e - b != nnz ||
+               !std::equal(b_col + b, b_col + e, a_col + a) ||
+               !std::equal(b_val + b, b_val + e, a_val + a, same_bits);
+  }
+  return changed;
 }
 
 }  // namespace
@@ -138,7 +167,6 @@ ModelShard::ModelShard(CandidateLinkSet candidates,
         IterAlignerOptions base;
         base.c = options_.serve.ridge_c;
         base.threshold = options_.serve.threshold;
-        base.selection = options_.serve.selection;
         return base;
       }()),
       global_ids_(std::move(global_ids)) {
@@ -155,7 +183,9 @@ ModelShard::ModelShard(CandidateLinkSet candidates,
 Status ModelShard::Start(FeaturePlane& plane) {
   if (started_) return Status::FailedPrecondition("already started");
   TraceSpan span(options_.obs.tracer, "ingest.start");
-  x_ = plane.Extract(candidates_);
+  plane.Refresh();
+  x_ = std::make_shared<const SparseMatrix>(
+      plane.tables()->Gather(candidates_));
   index_ = std::make_unique<IncidenceIndex>(plane.pair(), candidates_);
   labeled_.reserve(plane.train_anchors().size() * 2);
   for (const AnchorLink& a : plane.train_anchors()) {
@@ -178,12 +208,14 @@ void ModelShard::PinLabeled(size_t first) {
 }
 
 Status ModelShard::Publish() {
-  // The refit compresses X and forms G = XᵀX and L = chol(I + cG) exactly
-  // as a fresh batch build does (serially: the shards already run in
-  // parallel), so the served model is bitwise a fresh build's.
+  // The refit takes X as gathered and forms G = XᵀX and L = chol(I + cG)
+  // exactly as a fresh batch build does (serially: the shards already run
+  // in parallel), so the served model is bitwise a fresh build's.
   auto session = [&] {
     TraceSpan span(options_.obs.tracer, "ingest.refit");
-    return AlignmentSession::Create(x_, *index_, options_.serve.ridge_c);
+    return AlignmentSession::CreateFromPrepared(
+        std::make_shared<RidgePrepared>(RidgePrepared::Create(x_)), *index_,
+        options_.serve.ridge_c);
   }();
   if (!session.ok()) return session.status();
   session.value().ResetPins(pins_);
@@ -210,7 +242,6 @@ Status ModelShard::Publish() {
 }
 
 Status ModelShard::ApplySlice(const ProximityTables& tables,
-                              const std::vector<size_t>& dirty_columns,
                               const ServeDelta& slice,
                               size_t submitted_batches) {
   if (!started_) return Status::FailedPrecondition("Start() first");
@@ -228,15 +259,15 @@ Status ModelShard::ApplySlice(const ProximityTables& tables,
     next_global_id = id + 1;
   }
 
-  // Withdrawn candidates leave FIRST, so the replace/append passes below
-  // see the compacted slice: their rows, index entries, global ids and
-  // pins compact out together.
-  size_t removed_count = 0;
+  // Withdrawn candidates leave FIRST, so the appends and the gather below
+  // see the compacted slice: their index entries, global ids and pins
+  // compact out together.
+  std::vector<size_t> ids;  // removed local ids, ascending
   if (!slice.removed_candidates.empty()) {
     TraceSpan span(options_.obs.tracer, "ingest.remove_coalesce");
     auto resolved = ResolveRemovals(slice.removed_candidates);
     if (!resolved.ok()) return resolved.status();
-    const std::vector<size_t>& ids = resolved.value();
+    ids = std::move(resolved).value();
     // Validates range/duplicates and prunes the per-user lists eagerly.
     ACTIVEITER_RETURN_IF_ERROR(index_->RemoveCandidates(ids));
     for (size_t id : ids) {
@@ -244,7 +275,6 @@ Status ModelShard::ApplySlice(const ProximityTables& tables,
       ACTIVEITER_CHECK_MSG(removed.ok(), "validated removal failed to apply");
     }
     index_->CompactWith(candidates_.Compact());
-    x_.RemoveRows(ids);
     size_t next_removed = 0;
     size_t write = 0;
     for (size_t i = 0; i < global_ids_.size(); ++i) {
@@ -258,52 +288,35 @@ Status ModelShard::ApplySlice(const ProximityTables& tables,
     }
     global_ids_.resize(write);
     pins_.resize(write);
-    removed_count = ids.size();
-    RowsRemovedCounter().Add(removed_count);
+    RowsRemovedCounter().Add(ids.size());
   }
 
-  // Existing candidates' dirty feature columns take the tables' values;
-  // a row counts as replaced when any of them actually moved.
-  size_t replaced = 0;
   const size_t old_count = candidates_.size();
-  if (!dirty_columns.empty() && old_count > 0) {
-    TraceSpan span(options_.obs.tracer, "ingest.replace_rows");
-    std::vector<Vector> fresh;
-    fresh.reserve(dirty_columns.size());
-    for (size_t k : dirty_columns) {
-      fresh.push_back(tables.Column(k, candidates_));
-    }
-    for (size_t i = 0; i < old_count; ++i) {
-      double* row = x_.row_data(i);
-      bool changed = false;
-      for (size_t j = 0; j < dirty_columns.size(); ++j) {
-        const double value = fresh[j](i);
-        changed |= value != row[dirty_columns[j]];
-        row[dirty_columns[j]] = value;
-      }
-      if (changed) ++replaced;
-    }
-  }
-
   {
-    // New candidates: feature rows straight from the proximity tables.
     TraceSpan span(options_.obs.tracer, "ingest.append_rows");
-    Matrix new_rows(slice.new_candidates.size(), tables.dimension());
     for (size_t r = 0; r < slice.new_candidates.size(); ++r) {
       const auto& [u1, u2] = slice.new_candidates[r];
       candidates_.Add(u1, u2);
       global_ids_.push_back(slice.candidate_ids[r]);
-      Vector row = tables.RowFor(u1, u2);
-      for (size_t j = 0; j < row.size(); ++j) new_rows(r, j) = row(j);
     }
     next_global_id_ = next_global_id;
     index_->SyncWithCandidates(tables.users_first(), tables.users_second());
-    x_.AppendRows(new_rows);
-    pins_.resize(x_.rows(), Pin::kFree);
+    pins_.resize(candidates_.size(), Pin::kFree);
     // A re-revealed candidate that IS a train anchor re-enters L+ — the
     // churn twin of Start()'s pinning pass (appended negatives never match
     // an anchor, so this is a no-op on grow-only streams).
     if (!slice.new_candidates.empty()) PinLabeled(old_count);
+  }
+
+  // X anew from the tables; a surviving row whose entries moved counts as
+  // replaced.
+  size_t replaced = 0;
+  {
+    TraceSpan span(options_.obs.tracer, "ingest.replace_rows");
+    auto gathered =
+        std::make_shared<const SparseMatrix>(tables.Gather(candidates_));
+    replaced = CountChangedRows(*x_, ids, *gathered);
+    x_ = std::move(gathered);
   }
 
   ++epoch_;
@@ -315,7 +328,7 @@ Status ModelShard::ApplySlice(const ProximityTables& tables,
     stats_.coalesced_batches += submitted_batches - 1;
     stats_.rows_appended += slice.new_candidates.size();
     stats_.rows_replaced += replaced;
-    stats_.rows_removed += removed_count;
+    stats_.rows_removed += ids.size();
   }
   return Status::OK();
 }

@@ -22,14 +22,12 @@
 //                                intermediates migrate via padding; the
 //                                refresh publishes new immutable
 //                                ProximityTables)
-//   3. edit X                   (from those tables alone: withdrawn
-//                                candidates' rows, index entries and pins
-//                                compact out; existing rows whose dirty
-//                                feature columns moved are overwritten in
-//                                place; new candidates append a row)
-//   4. refit                    (AlignmentSession::Create over X: X
-//                                compressed by rows and by columns, one
-//                                Gram product and one Cholesky
+//   3. gather X                 (withdrawn candidates, index entries and
+//                                pins compact out, new ones append; then
+//                                ProximityTables::Gather builds X anew in
+//                                CSR from those tables alone)
+//   4. refit                    (RidgePrepared over that CSR X: its column
+//                                copy, one Gram product and one Cholesky
 //                                factorisation of I + cG, trivial at
 //                                d ≈ 30)
 //   5. re-run the PU alternation (IterAligner against the refit session)
@@ -112,12 +110,12 @@ struct ServeDelta {
 /// remove-then-re-add churn burst costs nothing at absorption time.
 ServeDelta MergeServeDeltas(std::vector<ServeDelta> deltas);
 
-/// Knobs of the serving model.
+/// Knobs of the serving model. Labels are selected greedily
+/// (IterAlignerOptions' default).
 struct ServeOptions {
   /// Ridge loss weight and decision threshold of the PU alternation.
   double ridge_c = 1.0;
   double threshold = 0.0;
-  SelectionAlgorithm selection = SelectionAlgorithm::kGreedy;
   /// Feature engine options (catalog choice + kernel pool).
   FeatureExtractorOptions features;
 };
@@ -196,27 +194,27 @@ class ModelShard {
   ModelShard(const ModelShard&) = delete;
   ModelShard& operator=(const ModelShard&) = delete;
 
-  /// Builds and publishes epoch 0 — the only full feature gather of the
-  /// shard's lifetime — and keeps the plane's anchor bridge L+ for
-  /// pinning. The plane refreshes lazily on the first shard that starts.
+  /// Refreshes the plane, gathers X over the initial slice from its
+  /// tables, builds and publishes epoch 0, and keeps the plane's anchor
+  /// bridge L+ for pinning.
   Status Start(FeaturePlane& plane);
 
   /// Applies this shard's slice of a batch from the proximity tables the
-  /// batch's Refresh() published: rows of the slice's withdrawn candidates
-  /// removed, rows whose `dirty_columns` moved overwritten, rows for the
-  /// slice's new candidates appended, then refit, realign, publish. The
-  /// slice carries the global id of every new candidate (what
-  /// RouteServeDelta stamps). `submitted_batches` is the number of
-  /// Submit() calls the slice coalesces (1 for ApplyOnce).
-  Status ApplySlice(const ProximityTables& tables,
-                    const std::vector<size_t>& dirty_columns,
-                    const ServeDelta& slice, size_t submitted_batches);
-  /// The same, from the tables of a plane refreshed for this batch.
+  /// batch's Refresh() published: the slice's withdrawn candidates leave,
+  /// its new candidates join, X is gathered anew over the whole slice,
+  /// then refit, realign, publish. The slice carries the global id of
+  /// every new candidate (what RouteServeDelta stamps).
+  /// `submitted_batches` is the number of Submit() calls the slice
+  /// coalesces (1 for ApplyOnce).
+  Status ApplySlice(const ProximityTables& tables, const ServeDelta& slice,
+                    size_t submitted_batches);
+  /// The same, from the tables of a plane refreshed for this batch. The
+  /// dirty-column argument is unused: the benchmark's serial replay still
+  /// passes Refresh()'s result here.
   Status ApplySlice(const FeaturePlane& plane,
-                    const std::vector<size_t>& dirty_columns,
+                    const std::vector<size_t>& /*dirty_columns*/,
                     const ServeDelta& slice, size_t submitted_batches) {
-    return ApplySlice(*plane.tables(), dirty_columns, slice,
-                      submitted_batches);
+    return ApplySlice(*plane.tables(), slice, submitted_batches);
   }
 
   /// Local ids of the served candidate pairs `removed`, ascending.
@@ -230,7 +228,7 @@ class ModelShard {
 
   bool started() const { return started_; }
   const CandidateLinkSet& candidates() const { return candidates_; }
-  const Matrix& design() const { return x_; }
+  const SparseMatrix& design() const { return *x_; }
   /// Local candidate id → global link id.
   const std::vector<size_t>& global_ids() const { return global_ids_; }
   uint64_t epoch() const { return epoch_; }
@@ -238,7 +236,7 @@ class ModelShard {
  private:
   /// Pins the candidates in [first, size) that ARE a train anchor (L+).
   void PinLabeled(size_t first);
-  /// Refits a session over X (X compressed, one Gram product, one
+  /// Refits a session over X (its column copy, one Gram product, one
   /// factorisation), runs the PU alternation against it and publishes the
   /// next snapshot.
   Status Publish();
@@ -248,7 +246,8 @@ class ModelShard {
   IngestorOptions options_;  // options_.obs drives the stage spans below
 
   std::unique_ptr<IncidenceIndex> index_;
-  Matrix x_;
+  // Gathered anew each drain; the published session's ridge shares it.
+  std::shared_ptr<const SparseMatrix> x_ = std::make_shared<SparseMatrix>();
   std::vector<Pin> pins_;  // per row of x_: L+ positives, the rest free
   std::unordered_set<uint64_t> labeled_;  // L+ pair keys, kept at Start
   IterAligner aligner_;

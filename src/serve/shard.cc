@@ -77,8 +77,7 @@ class ShardedIngestor::ShardExecutor {
       Status status = Status::OK();
       if (owner_->background_status().ok()) {
         status = owner_->shards_[shard_]->ApplySlice(
-            *task.tables, *task.dirty_columns, task.slice,
-            task.submitted_batches);
+            *task.tables, task.slice, task.submitted_batches);
       }
       owner_->OnSliceDone(task.seq, status);
     }
@@ -133,8 +132,8 @@ ShardedIngestor::ShardedIngestor(AlignedPair pair,
 ShardedIngestor::~ShardedIngestor() { Stop(); }
 
 Status ShardedIngestor::Start() {
-  // Sequential: the first shard's Extract refreshes the plane; the rest
-  // are pure gathers over their slices.
+  // Sequential: the first shard's Start refreshes the plane; the rest
+  // gather their slices from the same tables.
   for (auto& shard : shards_) {
     ACTIVEITER_RETURN_IF_ERROR(shard->Start(plane_));
   }
@@ -160,10 +159,11 @@ Status ShardedIngestor::ApplyMerged(const ServeDelta& merged,
         shards_[s]->ResolveRemovals(routed[s].removed_candidates).status());
   }
   ACTIVEITER_RETURN_IF_ERROR(plane_.Apply(merged.graph));
-  const std::vector<size_t> dirty_columns = plane_.Refresh();
+  plane_.Refresh();
+  const std::shared_ptr<const ProximityTables> tables = plane_.tables();
   for (size_t s = 0; s < shards_.size(); ++s) {
-    ACTIVEITER_RETURN_IF_ERROR(shards_[s]->ApplySlice(
-        plane_, dirty_columns, routed[s], submitted_batches));
+    ACTIVEITER_RETURN_IF_ERROR(
+        shards_[s]->ApplySlice(*tables, routed[s], submitted_batches));
   }
   next_global_id_ += merged.new_candidates.size();
   return Status::OK();
@@ -191,7 +191,6 @@ Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
   }
   Status prepared = Status::OK();
   std::shared_ptr<const ProximityTables> tables;
-  std::shared_ptr<const std::vector<size_t>> dirty;
   std::vector<ServeDelta> routed;
   {
     TraceSpan prepare(options_.obs.tracer, "ingest.pipeline.prepare");
@@ -202,7 +201,7 @@ Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
     prepared = ValidateCandidateEndpoints(plane_.pair(), merged);
     if (prepared.ok()) prepared = plane_.Apply(merged.graph);
     if (prepared.ok()) {
-      dirty = std::make_shared<const std::vector<size_t>>(plane_.Refresh());
+      plane_.Refresh();
       tables = plane_.tables();
       TraceSpan route_span(options_.obs.tracer, "ingest.route");
       routed = RouteServeDelta(merged, options_.partition, next_global_id_);
@@ -222,8 +221,8 @@ Status ShardedIngestor::PrepareDrain(const ServeDelta& merged,
     tickets_.push_back(DrainTicket{seq, shards_.size(), submitted_batches});
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
-    executors_[s]->Enqueue(SliceTask{tables, dirty, std::move(routed[s]),
-                                     submitted_batches, seq});
+    executors_[s]->Enqueue(
+        SliceTask{tables, std::move(routed[s]), submitted_batches, seq});
   }
   return Status::OK();
 }

@@ -16,10 +16,11 @@
 //                       └──────────────────────────────────────────────── ┘  (QueryBackend)
 //
 // Stage 1 (coordinator): validate → graph apply → SpGEMM refresh → route.
-// Stage 2 (shard executors): edit X (remove/replace/append rows) → refit
-// → PU realign → snapshot publish, one persistent thread per shard
-// (mailbox + condition variable, started once at StartBackground, joined
-// at Stop — steady-state drains spawn zero threads).
+// Stage 2 (shard executors): remove/append candidates → gather X from the
+// drain's tables → refit → PU realign → snapshot publish, one persistent
+// thread per shard (mailbox + condition variable, started once at
+// StartBackground, joined at Stop — steady-state drains spawn zero
+// threads).
 //
 // The pipeline: the coordinator owns ONE plane. Every Refresh() publishes
 // an immutable ProximityTables object, and every slice the coordinator
@@ -181,7 +182,6 @@ class ShardedIngestor {
   /// on while the slice is absorbed.
   struct SliceTask {
     std::shared_ptr<const ProximityTables> tables;
-    std::shared_ptr<const std::vector<size_t>> dirty_columns;
     ServeDelta slice;
     size_t submitted_batches = 0;
     uint64_t seq = 0;

@@ -1,6 +1,13 @@
 #include "src/graph/hetero_network.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/common/rng.h"
+#include "src/linalg/sparse_ops.h"
+#include "tests/linalg/csr_bitwise.h"
 
 namespace activeiter {
 namespace {
@@ -62,6 +69,76 @@ TEST(HeteroNetworkTest, AdjacencyDeduplicatesParallelEdges) {
   SparseMatrix adj = net.AdjacencyMatrix(RelationType::kFollow);
   EXPECT_EQ(adj.At(0, 1), 1.0);
   EXPECT_EQ(net.EdgeCount(RelationType::kFollow), 2u);  // raw edges kept
+}
+
+/// The definition AdjacencyMatrix must reproduce bitwise: the edge list
+/// as triplets, sorted and summed by FromTriplets, then binarized.
+SparseMatrix AdjacencyByDefinition(const HeteroNetwork& net,
+                                   RelationType relation) {
+  std::vector<Triplet> trips;
+  for (const auto& [src, dst] : net.Edges(relation)) {
+    trips.push_back({src, dst, 1.0});
+  }
+  return Binarize(SparseMatrix::FromTriplets(
+      net.NodeCount(RelationSourceType(relation)),
+      net.NodeCount(RelationTargetType(relation)), std::move(trips)));
+}
+
+void ExpectEveryRelationMatchesDefinition(const HeteroNetwork& net,
+                                          const std::string& what) {
+  for (int r = 0; r < kNumRelationTypes; ++r) {
+    const RelationType relation = static_cast<RelationType>(r);
+    EXPECT_TRUE(CsrBitwiseEqual(net.AdjacencyMatrix(relation),
+                                AdjacencyByDefinition(net, relation)))
+        << what << " relation " << RelationTypeName(relation);
+  }
+}
+
+TEST(HeteroNetworkTest, AdjacencyMatrixMatchesSortedDefinition) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    Rng rng(seed);
+    HeteroNetwork net(NetworkSchema::SocialNetwork());
+    net.AddNodes(NodeType::kUser, 24);
+    net.AddNodes(NodeType::kPost, 40);
+    net.AddNodes(NodeType::kWord, 9);
+    net.AddNodes(NodeType::kLocation, 6);
+    net.AddNodes(NodeType::kTimestamp, 7);
+    // No edges yet: every row empty.
+    ExpectEveryRelationMatchesDefinition(net, what + " empty");
+    // Edges in random order over the first 3/4 of each source range (the
+    // trailing rows stay empty), one relation left without edges, and a
+    // fifth of the edges inserted twice.
+    for (int r = 0; r + 1 < kNumRelationTypes; ++r) {
+      const RelationType relation = static_cast<RelationType>(
+          (static_cast<uint64_t>(r) + seed) % kNumRelationTypes);
+      const size_t sources =
+          net.NodeCount(RelationSourceType(relation)) * 3 / 4;
+      const size_t targets = net.NodeCount(RelationTargetType(relation));
+      for (int e = 0; e < 90; ++e) {
+        const auto src = static_cast<NodeId>(rng.UniformInt(sources));
+        const auto dst = static_cast<NodeId>(rng.UniformInt(targets));
+        ASSERT_TRUE(net.AddEdge(relation, src, dst).ok());
+        if (rng.UniformDouble() < 0.2) {
+          ASSERT_TRUE(net.AddEdge(relation, src, dst).ok());
+        }
+      }
+    }
+    ExpectEveryRelationMatchesDefinition(net, what);
+    // Removals take one stored occurrence each: some duplicates keep one
+    // copy, other edges vanish.
+    GraphDelta shrink;
+    for (int r = 0; r < kNumRelationTypes; ++r) {
+      const RelationType relation = static_cast<RelationType>(r);
+      const auto& edges = net.Edges(relation);
+      for (size_t e = 0; e < edges.size(); e += 3) {
+        shrink.removed_edges.push_back(
+            {relation, edges[e].first, edges[e].second});
+      }
+    }
+    ASSERT_TRUE(net.ApplyDelta(shrink).ok());
+    ExpectEveryRelationMatchesDefinition(net, what + " after removals");
+  }
 }
 
 TEST(HeteroNetworkTest, FollowOutDegree) {

@@ -80,7 +80,9 @@ TEST(PartitionCandidatesTest, SlicesAreADisjointCoverWithIncreasingIds) {
       EXPECT_TRUE(seen.insert(gid).second) << "global id owned twice";
       EXPECT_EQ(candidates.link(gid), std::make_pair(u1, u2));
       // Per-slice ids are strictly increasing (submission order survives).
-      if (i > 0) EXPECT_GT(gid, slice.global_ids[i - 1]);
+      if (i > 0) {
+        EXPECT_GT(gid, slice.global_ids[i - 1]);
+      }
     }
   }
   EXPECT_EQ(total, candidates.size());

@@ -139,64 +139,5 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 1, 5), std::make_tuple(7, 8, 3),
                       std::make_tuple(12, 12, 12)));
 
-TEST(MatrixAppendTest, AppendRowAndRowsGrowInPlace) {
-  Matrix m(2, 3);
-  m(0, 0) = 1.0;
-  m(1, 2) = 2.0;
-  m.AppendRow(Vector{3.0, 4.0, 5.0});
-  ASSERT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m(2, 0), 3.0);
-  EXPECT_EQ(m(2, 2), 5.0);
-  EXPECT_EQ(m(0, 0), 1.0);
-
-  Matrix extra(2, 3);
-  extra(0, 1) = 7.0;
-  extra(1, 0) = 8.0;
-  m.AppendRows(extra);
-  ASSERT_EQ(m.rows(), 5u);
-  EXPECT_EQ(m(3, 1), 7.0);
-  EXPECT_EQ(m(4, 0), 8.0);
-}
-
-TEST(MatrixAppendTest, EmptyMatrixAdoptsWidth) {
-  Matrix m;
-  m.AppendRow(Vector{1.0, 2.0});
-  EXPECT_EQ(m.rows(), 1u);
-  EXPECT_EQ(m.cols(), 2u);
-}
-
-TEST(MatrixAppendDeathTest, WidthMismatchDies) {
-  Matrix m(1, 3);
-  EXPECT_DEATH(m.AppendRow(Vector{1.0}), "width");
-}
-
-TEST(MatrixRemoveTest, RemoveRowsCompactsSurvivorsInOrder) {
-  Matrix m = RandomMatrix(6, 3, 5);
-  const Matrix original = m;
-  m.RemoveRows({1, 4});
-  ASSERT_EQ(m.rows(), 4u);
-  EXPECT_EQ(m.cols(), 3u);
-  const size_t survivors[] = {0, 2, 3, 5};
-  for (size_t r = 0; r < 4; ++r) {
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(m(r, j), original(survivors[r], j)) << r << "," << j;
-    }
-  }
-
-  // Removing everything and removing nothing are both well-formed.
-  m.RemoveRows({});
-  EXPECT_EQ(m.rows(), 4u);
-  m.RemoveRows({0, 1, 2, 3});
-  EXPECT_EQ(m.rows(), 0u);
-  EXPECT_EQ(m.cols(), 3u);
-}
-
-TEST(MatrixRemoveDeathTest, RejectsUnsortedAndOutOfRangeIds) {
-  Matrix m = RandomMatrix(4, 2, 6);
-  EXPECT_DEATH(m.RemoveRows({2, 1}), "increasing");
-  EXPECT_DEATH(m.RemoveRows({1, 1}), "increasing");
-  EXPECT_DEATH(m.RemoveRows({4}), "range");
-}
-
 }  // namespace
 }  // namespace activeiter

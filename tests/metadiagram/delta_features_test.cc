@@ -6,6 +6,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,7 +16,9 @@
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
 #include "src/eval/protocol.h"
+#include "src/linalg/sparse_ops.h"
 #include "src/serve/delta_stream.h"
+#include "tests/linalg/csr_bitwise.h"
 
 namespace activeiter {
 namespace {
@@ -365,6 +370,100 @@ TEST(DeltaFeatureTest, GoldenFeatureFingerprints) {
             kFoldWordPath);
   EXPECT_EQ(StreamFingerprint(0.0), kGrowStream);
   EXPECT_EQ(StreamFingerprint(0.3), kChurnStream);
+}
+
+/// Gather's definition: a dense X filled from per-pair Score() plus the
+/// bias, compressed.
+SparseMatrix GatherByDefinition(const ProximityTables& tables,
+                                const CandidateLinkSet& candidates) {
+  const size_t d = tables.dimension();
+  Matrix x(candidates.size(), d);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const auto& [u1, u2] = candidates.link(i);
+    for (size_t k = 0; k + 1 < d; ++k) x(i, k) = tables.table(k).Score(u1, u2);
+    x(i, d - 1) = 1.0;
+  }
+  return CompressDense(x);
+}
+
+/// Random small-integer counts, a quarter of the cells stored and one in
+/// twenty stored as an explicit 0.0 (FromCsr keeps it).
+SparseMatrix RandomCounts(size_t rows, size_t cols, Rng& rng) {
+  std::vector<size_t> row_ptr{0};
+  std::vector<uint32_t> col_idx;
+  std::vector<double> values;
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      const double draw = rng.UniformDouble();
+      if (draw >= 0.30) continue;
+      col_idx.push_back(static_cast<uint32_t>(j));
+      const auto count = static_cast<double>(1 + rng.UniformInt(4));
+      values.push_back(draw < 0.05 ? 0.0 : count);
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  return SparseMatrix::FromCsr(rows, cols, std::move(row_ptr),
+                               std::move(col_idx), std::move(values));
+}
+
+TEST(ProximityTablesTest, GatherMatchesPerPairScoresCompressed) {
+  constexpr size_t kUsers1 = 14, kUsers2 = 11, kPadded1 = 17, kPadded2 = 13;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    Rng rng(seed);
+    // Five tables over the old universes, padded to grown ones: the new
+    // users have no instances.
+    std::vector<std::shared_ptr<const ProximityScores>> scores;
+    for (int k = 0; k < 5; ++k) {
+      scores.push_back(std::make_shared<const ProximityScores>(
+          ProximityScores(RandomCounts(kUsers1, kUsers2, rng))
+              .PaddedTo(kPadded1, kPadded2)));
+    }
+    const ProximityTables tables(scores, kPadded1, kPadded2);
+
+    EXPECT_TRUE(CsrBitwiseEqual(tables.Gather(CandidateLinkSet()),
+                                GatherByDefinition(tables, {})))
+        << what << " empty";
+
+    CandidateLinkSet candidates;
+    // A pair whose count is an explicitly stored zero.
+    const SparseMatrix& counts = tables.table(0).counts();
+    for (size_t e = 0; e < counts.nnz(); ++e) {
+      if (counts.values()[e] != 0.0) continue;
+      const auto row = std::upper_bound(counts.row_ptr().begin(),
+                                        counts.row_ptr().end(), e) -
+                       counts.row_ptr().begin() - 1;
+      candidates.Add(static_cast<NodeId>(row), counts.col_idx()[e]);
+      break;
+    }
+    ASSERT_EQ(candidates.size(), 1u) << what << ": no stored zero drawn";
+    // Random pairs over the padded universes, skipping network-1 user 3
+    // (a user with no candidates), one of them repeated, and pairs on the
+    // users added by the padding.
+    while (candidates.size() < 40) {
+      const auto u1 = static_cast<NodeId>(rng.UniformInt(kPadded1));
+      if (u1 == 3) continue;
+      candidates.Add(u1, static_cast<NodeId>(rng.UniformInt(kPadded2)));
+    }
+    candidates.Add(candidates.link(7).first, candidates.link(7).second);
+    candidates.Add(static_cast<NodeId>(kPadded1 - 1), 2);
+    candidates.Add(5, static_cast<NodeId>(kPadded2 - 1));
+    EXPECT_TRUE(CsrBitwiseEqual(tables.Gather(candidates),
+                                GatherByDefinition(tables, candidates)))
+        << what;
+  }
+}
+
+TEST(ProximityTablesDeathTest, GatherRejectsTombstones) {
+  Rng rng(3);
+  const ProximityTables tables(
+      {std::make_shared<const ProximityScores>(RandomCounts(4, 4, rng))}, 4,
+      4);
+  CandidateLinkSet candidates;
+  candidates.Add(0, 1);
+  candidates.Add(2, 3);
+  ASSERT_TRUE(candidates.Remove(0).ok());
+  EXPECT_DEATH(tables.Gather(candidates), "compacted");
 }
 
 TEST(DeltaFeatureTest, RefreshWithoutDeltaIsANoOp) {

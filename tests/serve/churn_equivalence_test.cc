@@ -1,17 +1,19 @@
 // The shrink path's correctness anchor: a grow→shrink→grow stream is
 // equivalent to rebuilding everything from scratch at every epoch —
 //
-//   * the design matrix X stays BITWISE identical to a fresh
-//     FeatureExtractor over the mutated pair (removed rows physically
-//     compact, so no churn residue survives in X),
+//   * the design matrix X stays BITWISE the compressed X of a fresh
+//     FeatureExtractor over the mutated pair (each drain gathers X anew
+//     over the compacted slice, so no churn residue survives in X),
 //   * weights, scores and the label vector are BITWISE identical to a
 //     freshly built session's — the refit forms the Gram and its factor
 //     from X, so no churn residue survives in them either,
 //   * and every published epoch costs exactly ONE factorisation (the
 //     shard's refit), proven via CholeskyFactor::TotalFactorCount.
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,9 +21,11 @@
 #include "src/datagen/aligned_generator.h"
 #include "src/datagen/presets.h"
 #include "src/linalg/cholesky.h"
+#include "src/linalg/sparse_ops.h"
 #include "src/metadiagram/features.h"
 #include "src/serve/delta_stream.h"
 #include "src/serve/shard.h"
+#include "tests/linalg/csr_bitwise.h"
 
 namespace activeiter {
 namespace {
@@ -89,11 +93,34 @@ TEST(ChurnEquivalenceTest, GrowShrinkGrowMatchesBatchRebuildEveryEpoch) {
   const AlignmentService& service = ingestor.shard_service(0);
   EXPECT_EQ(ingestor.stats().full_factorisations, 1u);
 
+  size_t replaced_rows_moved = 0;
   for (size_t b = 0; b < s.batches.size(); ++b) {
+    const Matrix x_before = ingestor.shard(0).design().ToDense();
+    const std::vector<size_t> ids_before = ingestor.shard(0).global_ids();
     const uint64_t factors_before = CholeskyFactor::TotalFactorCount();
     ASSERT_TRUE(ingestor.ApplyOnce(s.batches[b]).ok()) << "batch " << b;
     // Grow and shrink epochs alike cost exactly one refit.
     EXPECT_EQ(CholeskyFactor::TotalFactorCount(), factors_before + 1)
+        << "batch " << b;
+    // rows_replaced counts the surviving candidates (matched by global
+    // link id) whose feature row moved.
+    const Matrix x_after = ingestor.shard(0).design().ToDense();
+    const std::vector<size_t>& ids_after = ingestor.shard(0).global_ids();
+    size_t moved = 0;
+    for (size_t r = 0; r < ids_after.size(); ++r) {
+      const auto old = std::lower_bound(ids_before.begin(), ids_before.end(),
+                                        ids_after[r]);
+      if (old == ids_before.end() || *old != ids_after[r]) continue;
+      const size_t i = static_cast<size_t>(old - ids_before.begin());
+      for (size_t j = 0; j < x_after.cols(); ++j) {
+        if (x_after(r, j) != x_before(i, j)) {
+          ++moved;
+          break;
+        }
+      }
+    }
+    replaced_rows_moved += moved;
+    EXPECT_EQ(ingestor.stats().rows_replaced, replaced_rows_moved)
         << "batch " << b;
 
     auto snap = service.snapshot();
@@ -101,10 +128,10 @@ TEST(ChurnEquivalenceTest, GrowShrinkGrowMatchesBatchRebuildEveryEpoch) {
     EXPECT_EQ(snap->epoch, b + 1);
     ASSERT_EQ(snap->size(), ingestor.shard(0).candidates().size());
 
-    // 1. X is bitwise identical to a from-scratch extraction.
+    // 1. X is bitwise the compressed from-scratch extraction.
     BatchRebuild rebuild(ingestor, s.train_anchors, 1.0);
-    ASSERT_EQ(rebuild.x.rows(), ingestor.shard(0).design().rows());
-    EXPECT_EQ(Matrix::MaxAbsDiff(rebuild.x, ingestor.shard(0).design()), 0.0)
+    EXPECT_TRUE(CsrBitwiseEqual(CompressDense(rebuild.x),
+                                ingestor.shard(0).design()))
         << "epoch " << b + 1;
 
     // 2. Weights, scores and labels are bitwise a fresh build's.
@@ -124,6 +151,7 @@ TEST(ChurnEquivalenceTest, GrowShrinkGrowMatchesBatchRebuildEveryEpoch) {
   EXPECT_EQ(stats.full_factorisations, stats.epochs_published);
   EXPECT_EQ(stats.rows_removed, stream_removals);
   EXPECT_GT(stats.rows_appended, stats.rows_removed);
+  EXPECT_GT(stats.rows_replaced, 0u);
 }
 
 TEST(ChurnEquivalenceTest, MultiShardChurnRoutesRemovalsToOwningShard) {

@@ -13,6 +13,7 @@
 #include "src/datagen/presets.h"
 #include "src/serve/delta_stream.h"
 #include "src/serve/shard.h"
+#include "tests/linalg/csr_bitwise.h"
 
 namespace activeiter {
 namespace {
@@ -70,9 +71,9 @@ TEST_P(CoalesceBacklogTest, BacklogDrainsAsOneEpochBitwiseEqualToMergedApply) {
   for (size_t i = 0; i < n; ++i) {
     ASSERT_EQ(twin.shard(i).candidates().size(),
               sharded.shard(i).candidates().size());
-    EXPECT_EQ(Matrix::MaxAbsDiff(twin.shard(i).design(),
-                                 sharded.shard(i).design()),
-              0.0);
+    EXPECT_TRUE(
+        CsrBitwiseEqual(twin.shard(i).design(), sharded.shard(i).design()))
+        << "shard " << i;
     auto snap = sharded.shard_service(i).snapshot();
     auto twin_snap = twin.shard_service(i).snapshot();
     ASSERT_EQ(snap->size(), twin_snap->size());

@@ -71,7 +71,6 @@ TEST(ObsIntegrationTest, SingleShardEmitsEveryStageAndSettlesLag) {
   ExpectStage(totals, "ingest.drain_coalesce");
   ExpectStage(totals, "ingest.plane_apply");
   ExpectStage(totals, "ingest.plane_refresh");
-  ExpectStage(totals, "ingest.plane_extract");
   ExpectStage(totals, "ingest.apply_slice");
   ExpectStage(totals, "ingest.append_rows");
   ExpectStage(totals, "ingest.refit");

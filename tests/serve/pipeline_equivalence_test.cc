@@ -24,6 +24,7 @@
 #include "src/datagen/presets.h"
 #include "src/serve/delta_stream.h"
 #include "src/serve/shard.h"
+#include "tests/linalg/csr_bitwise.h"
 
 namespace activeiter {
 namespace {
@@ -71,9 +72,8 @@ void ExpectAllShardsBitwiseEqual(const ShardedIngestor& reference,
     ASSERT_NE(pipe_snap, nullptr) << what;
     ExpectSnapshotsBitwiseEqual(*ref_snap, *pipe_snap,
                                 what + " shard " + std::to_string(i));
-    EXPECT_EQ(Matrix::MaxAbsDiff(reference.shard(i).design(),
-                                 pipelined.shard(i).design()),
-              0.0)
+    EXPECT_TRUE(CsrBitwiseEqual(reference.shard(i).design(),
+                                pipelined.shard(i).design()))
         << what << " shard " << i;
   }
 }
@@ -275,43 +275,35 @@ TEST(PipelineEquivalenceTest, HeldTablesAbsorbBitwiseAfterThePlaneMovesOn) {
   ModelShard shard(s.initial_candidates, ids, &service, options);
   ASSERT_TRUE(shard.Start(plane).ok());
 
-  // What the coordinator hands an executor: the dirty columns and the
-  // tables of one prepared drain.
-  struct Prepared {
-    std::vector<size_t> dirty;
-    std::shared_ptr<const ProximityTables> tables;
-  };
+  // What the coordinator hands an executor: the tables of one prepared
+  // drain.
   auto prepare = [](FeaturePlane& p, const ServeDelta& batch) {
     EXPECT_TRUE(ValidateCandidateEndpoints(p.pair(), batch).ok());
     EXPECT_TRUE(p.Apply(batch.graph).ok());
-    Prepared out;
-    out.dirty = p.Refresh();
-    out.tables = p.tables();
-    return out;
+    p.Refresh();
+    return p.tables();
   };
 
-  Prepared held = prepare(plane, routed[0]);
+  std::shared_ptr<const ProximityTables> held = prepare(plane, routed[0]);
   for (size_t b = 0; b < kBatches; ++b) {
-    Prepared next;
+    std::shared_ptr<const ProximityTables> next;
     if (b + 1 < kBatches) {
       next = prepare(plane, routed[b + 1]);
-      ASSERT_NE(next.tables, held.tables);
+      ASSERT_NE(next, held);
     }
-    ASSERT_TRUE(shard.ApplySlice(*held.tables, held.dirty, routed[b],
-                                 /*submitted_batches=*/1)
-                    .ok());
+    ASSERT_TRUE(
+        shard.ApplySlice(*held, routed[b], /*submitted_batches=*/1).ok());
 
-    const Prepared lock_step = prepare(ref_plane, routed[b]);
-    ASSERT_TRUE(reference.ApplySlice(ref_plane, lock_step.dirty, routed[b],
-                                     /*submitted_batches=*/1)
+    ASSERT_TRUE(reference
+                    .ApplySlice(*prepare(ref_plane, routed[b]), routed[b],
+                                /*submitted_batches=*/1)
                     .ok());
 
     const std::string what = "held-tables epoch " + std::to_string(b + 1);
     ASSERT_NE(service.snapshot(), nullptr);
     ExpectSnapshotsBitwiseEqual(*ref_service.snapshot(), *service.snapshot(),
                                 what);
-    EXPECT_EQ(Matrix::MaxAbsDiff(reference.design(), shard.design()), 0.0)
-        << what;
+    EXPECT_TRUE(CsrBitwiseEqual(reference.design(), shard.design())) << what;
     EXPECT_EQ(reference.global_ids(), shard.global_ids()) << what;
     held = std::move(next);
   }

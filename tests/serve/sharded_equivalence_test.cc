@@ -25,6 +25,7 @@
 #include "src/graph/partition.h"
 #include "src/serve/delta_stream.h"
 #include "src/serve/shard.h"
+#include "tests/linalg/csr_bitwise.h"
 
 namespace activeiter {
 namespace {
@@ -129,9 +130,9 @@ TEST_P(ShardedVsIndependentTest, EveryShardIsBitwiseAnIndependentIngestor) {
       ASSERT_NE(shard_snap, nullptr);
       ExpectSnapshotsBitwiseEqual(*ref_snap, *shard_snap,
                                   "shard " + std::to_string(i) + at);
-      EXPECT_EQ(Matrix::MaxAbsDiff(reference[i]->shard.design(),
-                                   sharded.shard(i).design()),
-                0.0);
+      EXPECT_TRUE(CsrBitwiseEqual(reference[i]->shard.design(),
+                                  sharded.shard(i).design()))
+          << "shard " << i << at;
       EXPECT_EQ(reference[i]->shard.global_ids(),
                 sharded.shard(i).global_ids());
     }

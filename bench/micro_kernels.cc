@@ -5,16 +5,15 @@
 //
 // Two modes:
 //   * default — Google Benchmark CLI (filters, repetitions, etc.);
-//   * --record=PATH — hand-timed record of the blocked-kernel speedups
-//     (incremental SpGEMM vs full recompute with its measured crossover
-//     sweep), of the ridge kernels (RidgePrepared::Create and Predict at
-//     the offline fold's shape, the tiled dense solve, and a serve shard's
-//     per-drain ridge refit from its CSR X), of the selection kernels
-//     (greedy selection and the conflict query round at 20,000 links, and
-//     greedy selection on separable scores over K_{143,143}) and of feature
-//     extraction (the offline fold's Extract, a bench-scale delta refresh
-//     and a shard's gather from the refreshed tables), written as compact
-//     JSON. CI re-records it as BENCH_kernels.json; the committed
+//   * --record=PATH — hand-timed record of the ridge kernels
+//     (RidgePrepared::Create and Predict at the offline fold's shape, the
+//     tiled dense solve, and a serve shard's per-drain ridge refit from its
+//     CSR X), of the selection kernels (greedy selection and the conflict
+//     query round at 20,000 links, and greedy selection on separable scores
+//     over K_{143,143}) and of feature extraction (the offline fold's
+//     Extract, bench-scale delta refreshes over a growth and a churn
+//     stream, and a shard's gather from the refreshed tables), written as
+//     compact JSON. CI re-records it as BENCH_kernels.json; the committed
 //     copy is the PR's perf baseline.
 
 #include <algorithm>
@@ -296,21 +295,24 @@ std::pair<SparseMatrix, std::vector<uint32_t>> MutateRows(
 }
 
 // A delta touching `permille`/1000 of A's rows, folded into the cached
-// product A·B either by full SpGemm recompute or by SpGemmRowUpdate row
-// splicing. Args {n, permille, incremental}; the incremental = 0 rows are
-// the full-recompute baseline (bar: ≥5× at ≤1% changed rows).
-void BM_SpGemmRowUpdateVsFull(benchmark::State& state) {
+// product A·B either by the full SpGemm recompute or the way the feature
+// engine carries a product forward: SpGemmDelta of the change, then
+// AddDelta onto the old product. Args {n, permille, delta}; the delta = 0
+// rows are the full-recompute baseline.
+void BM_SpGemmDeltaVsFull(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t permille = static_cast<size_t>(state.range(1));
-  const bool incremental = state.range(2) != 0;
+  const bool carry = state.range(2) != 0;
   SparseMatrix a = RandomSparse(n, n, 16.0 / n, 43);
   SparseMatrix b = RandomSparse(n, n, 16.0 / n, 44);
   SparseMatrix base = SpGemm(a, b);
   auto [a2, rows] =
       MutateRows(a, std::max<size_t>(1, n * permille / 1000), 45);
+  const SparseMatrix da = RowsDelta(a2, a, rows);
   for (auto _ : state) {
-    if (incremental) {
-      benchmark::DoNotOptimize(SpGemmRowUpdate(base, a2, b, rows));
+    if (carry) {
+      benchmark::DoNotOptimize(
+          AddDelta(base, SpGemmDelta(a2, &da, b, nullptr)));
     } else {
       benchmark::DoNotOptimize(SpGemm(a2, b));
     }
@@ -318,8 +320,8 @@ void BM_SpGemmRowUpdateVsFull(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(rows.size()));
 }
-BENCHMARK(BM_SpGemmRowUpdateVsFull)
-    ->ArgNames({"n", "permille", "incremental"})
+BENCHMARK(BM_SpGemmDeltaVsFull)
+    ->ArgNames({"n", "permille", "delta"})
     ->Args({4096, 10, 0})
     ->Args({4096, 10, 1})
     ->Args({4096, 100, 0})
@@ -469,34 +471,6 @@ double TimeMs(size_t trials, size_t reps, Fn&& fn) {
   return best;
 }
 
-struct SpliceRecord {
-  double fraction = 0.0;
-  size_t changed_rows = 0;
-  double full_ms = 0.0;
-  double incremental_ms = 0.0;
-  bool bitwise = false;
-};
-
-SpliceRecord RecordSplice(const SparseMatrix& a, const SparseMatrix& b,
-                          const SparseMatrix& base, double fraction,
-                          uint64_t seed) {
-  SpliceRecord rec;
-  rec.fraction = fraction;
-  const size_t n = a.rows();
-  rec.changed_rows = std::max<size_t>(
-      1, static_cast<size_t>(fraction * static_cast<double>(n)));
-  auto [a2, rows] = MutateRows(a, rec.changed_rows, seed);
-  SparseMatrix full = SpGemm(a2, b);
-  SparseMatrix spliced = SpGemmRowUpdate(base, a2, b, rows);
-  rec.bitwise = full.row_ptr() == spliced.row_ptr() &&
-                full.col_idx() == spliced.col_idx() &&
-                full.values() == spliced.values();
-  rec.full_ms = TimeMs(3, 2, [&] { (void)SpGemm(a2, b); });
-  rec.incremental_ms =
-      TimeMs(3, 2, [&] { (void)SpGemmRowUpdate(base, a2, b, rows); });
-  return rec;
-}
-
 struct ExtractionRecord {
   size_t fold_candidates = 0;
   double extract_ms = 0.0;
@@ -504,7 +478,36 @@ struct ExtractionRecord {
   double refresh_p50_ms = 0.0;
   size_t gather_candidates = 0;
   double shard_gather_ms = 0.0;
+  size_t churn_batches = 0;
+  double churn_refresh_p50_ms = 0.0;
+  double readd_refresh_ms = 0.0;
 };
+
+/// Each batch of `stream` applied, noted and refreshed in turn, as
+/// FeaturePlane does per batch; returns every Refresh's wall time (epoch 0,
+/// which computes every diagram, excluded) and leaves the last candidate
+/// set in `candidates`.
+std::vector<double> TimeRefreshes(DeltaStream& stream,
+                                  DeltaFeatureExtractor& extractor,
+                                  CandidateLinkSet* candidates) {
+  (void)extractor.Refresh();
+  std::vector<double> refresh_ms;
+  for (const ServeDelta& batch : stream.batches) {
+    (void)stream.initial.ApplyDelta(batch.graph);
+    extractor.NoteDelta(batch.graph);
+    for (const auto& [u1, u2] : batch.new_candidates) candidates->Add(u1, u2);
+    Stopwatch watch;
+    (void)extractor.Refresh();
+    refresh_ms.push_back(watch.ElapsedMillis());
+  }
+  return refresh_ms;
+}
+
+double Median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
+}
 
 // All serial, on the Foursquare–Twitter-like pair at seed 42: Extract of
 // fold 0 under the offline workload's protocol (θ = 50, γ = 0.6, 10
@@ -513,7 +516,10 @@ struct ExtractionRecord {
 // refreshed in turn, as FeaturePlane does per batch — and then
 // ProximityTables::Gather from the last refresh's tables over one of two
 // shards' slices of the stream's final candidates (about half), as a
-// serve shard gathers its X every drain.
+// serve shard gathers its X every drain. Last, the median Refresh over a
+// stream carved as serve_churn carves it at seed 42 (64 waves, churn 0.3:
+// 129 batches), and the Refresh of its final batch, which re-adds every
+// withdrawn edge at once — the largest delta any workload refreshes.
 ExtractionRecord RecordExtraction() {
   ExtractionRecord rec;
   auto pair = AlignedNetworkGenerator(FoursquareTwitterPreset(42)).Generate();
@@ -534,24 +540,13 @@ ExtractionRecord RecordExtraction() {
   carve.num_batches = 128;
   carve.np_ratio = 40.0;
   auto stream = CarveDeltaStream(pair.value(), carve);
-  AlignedPair& live = stream.value().initial;
-  DeltaFeatureExtractor extractor(live, stream.value().train_anchors);
-  (void)extractor.Refresh();  // epoch 0 computes every diagram
-  std::vector<double> refresh_ms;
+  DeltaFeatureExtractor extractor(stream.value().initial,
+                                  stream.value().train_anchors);
   CandidateLinkSet candidates = stream.value().initial_candidates;
-  for (const ServeDelta& batch : stream.value().batches) {
-    (void)live.ApplyDelta(batch.graph);
-    extractor.NoteDelta(batch.graph);
-    for (const auto& [u1, u2] : batch.new_candidates) candidates.Add(u1, u2);
-    Stopwatch watch;
-    (void)extractor.Refresh();
-    refresh_ms.push_back(watch.ElapsedMillis());
-  }
+  const std::vector<double> refresh_ms =
+      TimeRefreshes(stream.value(), extractor, &candidates);
   rec.refresh_batches = refresh_ms.size();
-  std::nth_element(refresh_ms.begin(),
-                   refresh_ms.begin() + refresh_ms.size() / 2,
-                   refresh_ms.end());
-  rec.refresh_p50_ms = refresh_ms[refresh_ms.size() / 2];
+  rec.refresh_p50_ms = Median(refresh_ms);
 
   ShardPartition halves;
   halves.num_shards = 2;
@@ -561,6 +556,22 @@ ExtractionRecord RecordExtraction() {
   const auto tables = extractor.tables();
   rec.shard_gather_ms =
       TimeMs(5, 20, [&] { (void)tables->Gather(slice.links); });
+
+  DeltaStreamOptions churn;
+  churn.num_batches = 64;
+  churn.initial_fraction = 0.5;
+  churn.np_ratio = 40.0;
+  churn.churn_fraction = 0.3;
+  churn.seed = 42 ^ 0xCA4EULL;
+  auto churn_stream = CarveDeltaStream(pair.value(), churn);
+  DeltaFeatureExtractor churn_extractor(churn_stream.value().initial,
+                                        churn_stream.value().train_anchors);
+  CandidateLinkSet churn_candidates = churn_stream.value().initial_candidates;
+  const std::vector<double> churn_ms =
+      TimeRefreshes(churn_stream.value(), churn_extractor, &churn_candidates);
+  rec.churn_batches = churn_ms.size();
+  rec.churn_refresh_p50_ms = Median(churn_ms);
+  rec.readd_refresh_ms = churn_ms.back();
   return rec;
 }
 
@@ -569,35 +580,6 @@ int RunRecord(const std::string& path) {
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
-  }
-
-  const size_t n = 4096;
-  SparseMatrix a = RandomSparse(n, n, 16.0 / n, 43);
-  SparseMatrix b = RandomSparse(n, n, 16.0 / n, 44);
-  SparseMatrix base = SpGemm(a, b);
-  SpliceRecord one_percent = RecordSplice(a, b, base, 0.01, 45);
-  std::fprintf(stderr,
-               "spgemm   n=%zu 1%% rows: full %.3f ms, incremental %.3f ms "
-               "(%.2fx, bitwise=%d)\n",
-               n, one_percent.full_ms, one_percent.incremental_ms,
-               one_percent.full_ms / one_percent.incremental_ms,
-               one_percent.bitwise);
-
-  // Crossover sweep: where does splicing stop paying? The feature-engine
-  // default (FeatureExtractorOptions::spgemm_row_update_max_fraction)
-  // should sit at or below the measured crossover.
-  const double fractions[] = {0.002, 0.005, 0.01, 0.02, 0.05,
-                              0.1,   0.2,   0.3,  0.5};
-  std::vector<SpliceRecord> sweep;
-  double crossover = 1.0;  // fraction where incremental stops winning
-  for (double f : fractions) {
-    sweep.push_back(RecordSplice(a, b, base, f, 47));
-    const SpliceRecord& r = sweep.back();
-    std::fprintf(stderr, "  sweep fraction %.3f: %.2fx%s\n", f,
-                 r.full_ms / r.incremental_ms, r.bitwise ? "" : " (MISMATCH)");
-    if (r.incremental_ms >= r.full_ms && crossover == 1.0) {
-      crossover = f;
-    }
   }
 
   // The ridge kernels at the offline fold's shape: RidgePrepared::Create
@@ -659,33 +641,16 @@ int RunRecord(const std::string& path) {
   ExtractionRecord extraction = RecordExtraction();
   std::fprintf(stderr,
                "extract  fold 0 (%zu links): %.3f ms; refresh p50 over %zu "
-               "batches: %.3f ms; shard gather (%zu links): %.3f ms\n",
+               "batches: %.3f ms; shard gather (%zu links): %.3f ms; churn "
+               "refresh p50 over %zu batches: %.3f ms, final re-add %.3f "
+               "ms\n",
                extraction.fold_candidates, extraction.extract_ms,
                extraction.refresh_batches, extraction.refresh_p50_ms,
-               extraction.gather_candidates, extraction.shard_gather_ms);
+               extraction.gather_candidates, extraction.shard_gather_ms,
+               extraction.churn_batches, extraction.churn_refresh_p50_ms,
+               extraction.readd_refresh_ms);
 
   std::fprintf(out, "{\n  \"bench\": \"kernels\",\n");
-  std::fprintf(out,
-               "  \"spgemm_row_update\": {\"n\": %zu, \"avg_degree\": 16, "
-               "\"changed_fraction\": %.4f, \"changed_rows\": %zu, "
-               "\"full_ms\": %.4f, \"incremental_ms\": %.4f, \"speedup\": "
-               "%.2f, \"bitwise\": %s},\n",
-               n, one_percent.fraction, one_percent.changed_rows,
-               one_percent.full_ms, one_percent.incremental_ms,
-               one_percent.full_ms / one_percent.incremental_ms,
-               one_percent.bitwise ? "true" : "false");
-  std::fprintf(out, "  \"spgemm_crossover_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const SpliceRecord& r = sweep[i];
-    std::fprintf(out,
-                 "    {\"fraction\": %.3f, \"full_ms\": %.4f, "
-                 "\"incremental_ms\": %.4f, \"speedup\": %.2f}%s\n",
-                 r.fraction, r.full_ms, r.incremental_ms,
-                 r.full_ms / r.incremental_ms,
-                 i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"spgemm_crossover_fraction\": %.3f,\n", crossover);
   std::fprintf(out,
                "  \"dense\": {\"prepare_rows\": %zu, \"prepare_d\": 30, "
                "\"prepare_ms\": %.4f, \"predict_ms\": %.4f, "
@@ -702,13 +667,16 @@ int RunRecord(const std::string& path) {
                "  \"extraction\": {\"fold_candidates\": %zu, "
                "\"extract_ms\": %.4f, \"refresh_batches\": %zu, "
                "\"refresh_p50_ms\": %.4f, \"gather_candidates\": %zu, "
-               "\"shard_gather_ms\": %.4f}\n}\n",
+               "\"shard_gather_ms\": %.4f, \"churn_batches\": %zu, "
+               "\"churn_refresh_p50_ms\": %.4f, "
+               "\"readd_refresh_ms\": %.4f}\n}\n",
                extraction.fold_candidates, extraction.extract_ms,
                extraction.refresh_batches, extraction.refresh_p50_ms,
-               extraction.gather_candidates, extraction.shard_gather_ms);
+               extraction.gather_candidates, extraction.shard_gather_ms,
+               extraction.churn_batches, extraction.churn_refresh_p50_ms,
+               extraction.readd_refresh_ms);
   std::fclose(out);
-  std::fprintf(stderr, "wrote %s (measured crossover fraction: %.3f)\n",
-               path.c_str(), crossover);
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
   return 0;
 }
 

@@ -38,9 +38,9 @@ Status AlignedPair::ApplyDelta(const PairDelta& delta) {
   // Validate retractions against the CURRENT state (a retraction may only
   // withdraw an anchor that was actually revealed), then new anchors
   // against the post-growth user universes and the post-retraction
-  // one-to-one maps — all before either network mutates; HeteroNetwork::
-  // ApplyDelta is itself atomic, so validating anchors first makes the
-  // whole batch all-or-nothing.
+  // one-to-one maps — all before either network mutates; both networks'
+  // deltas are validated next, still before either applies, so the whole
+  // batch is all-or-nothing.
   const std::vector<AnchorLink>& retracted = delta.retracted_anchors;
   for (size_t i = 0; i < retracted.size(); ++i) {
     const AnchorLink& r = retracted[i];
@@ -100,11 +100,12 @@ Status AlignedPair::ApplyDelta(const PairDelta& delta) {
       }
     }
   }
-  // Validate the second side before the (self-validating) first apply so a
-  // bad second delta cannot leave the first network mutated.
+  // Validate each side once, before either network mutates (the second
+  // side's error, when both are bad, is the one reported).
   ACTIVEITER_RETURN_IF_ERROR(second_.ValidateDelta(delta.second));
-  ACTIVEITER_RETURN_IF_ERROR(first_.ApplyDelta(delta.first));
-  ACTIVEITER_RETURN_IF_ERROR(second_.ApplyDelta(delta.second));
+  ACTIVEITER_RETURN_IF_ERROR(first_.ValidateDelta(delta.first));
+  first_.ApplyValidatedDelta(delta.first);
+  second_.ApplyValidatedDelta(delta.second);
   for (const AnchorLink& r : delta.retracted_anchors) {
     partner_of_first_[r.u1] = -1;
     partner_of_second_[r.u2] = -1;

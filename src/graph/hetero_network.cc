@@ -1,10 +1,53 @@
 #include "src/graph/hetero_network.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "src/common/string_util.h"
 
 namespace activeiter {
+namespace {
+
+uint64_t EdgeKey(NodeId src, NodeId dst) {
+  return (static_cast<uint64_t>(src) << 32) | dst;
+}
+
+/// One relation's removed edges: EdgeKey → a count, and a mark per source
+/// node that any removal names, so a pass over the stored edges probes
+/// the map only for the few edges whose source is marked.
+struct RemovedEdges {
+  std::unordered_map<uint64_t, size_t> count;
+  std::vector<bool> source;
+
+  /// The count of (src, dst), or nullptr when no removal names it.
+  size_t* Find(NodeId src, NodeId dst) {
+    if (src >= source.size() || !source[src]) return nullptr;
+    auto it = count.find(EdgeKey(src, dst));
+    return it == count.end() ? nullptr : &it->second;
+  }
+};
+
+/// The batch's removed edges per relation, every count 0. A removal whose
+/// source lies outside `node_counts` names no edge: it is left out, so
+/// Find reports it unmatched, and the mark never outgrows the universe.
+std::array<RemovedEdges, kNumRelationTypes> RemovalKeys(
+    const std::vector<EdgeDelta>& removed,
+    const std::array<size_t, kNumNodeTypes>& node_counts) {
+  std::array<RemovedEdges, kNumRelationTypes> keys;
+  for (const EdgeDelta& r : removed) {
+    if (r.src >= node_counts[static_cast<size_t>(
+                     RelationSourceType(r.relation))]) {
+      continue;
+    }
+    RemovedEdges& rel = keys[static_cast<size_t>(r.relation)];
+    if (rel.source.size() <= r.src) rel.source.resize(r.src + 1, false);
+    rel.source[r.src] = true;
+    rel.count.emplace(EdgeKey(r.src, r.dst), 0);
+  }
+  return keys;
+}
+
+}  // namespace
 
 std::vector<RelationType> GraphDelta::TouchedRelations() const {
   std::vector<RelationType> out;
@@ -82,52 +125,83 @@ Status HeteroNetwork::ValidateDelta(const GraphDelta& delta) const {
           e.src, e.dst, RelationTypeName(e.relation), src_count, dst_count));
     }
   }
+  if (delta.removed_edges.empty()) return Status::OK();
   // Each removal must hit an occurrence that still exists at its point in
-  // the batch: stored count + same-batch additions − earlier removals.
-  for (size_t i = 0; i < delta.removed_edges.size(); ++i) {
-    const EdgeDelta& r = delta.removed_edges[i];
+  // the batch: stored count + same-batch additions − earlier removals. The
+  // removed keys' occurrences are counted in one pass over each touched
+  // relation's stored edges and the batch's additions, then the removals
+  // spend them in order.
+  auto available = RemovalKeys(delta.removed_edges, counts);
+  for (size_t rel = 0; rel < kNumRelationTypes; ++rel) {
+    if (available[rel].count.empty()) continue;
+    for (const auto& [src, dst] : edges_[rel]) {
+      if (size_t* n = available[rel].Find(src, dst)) ++*n;
+    }
+  }
+  for (const EdgeDelta& e : delta.edges) {
+    if (size_t* n = available[static_cast<size_t>(e.relation)].Find(e.src,
+                                                                    e.dst)) {
+      ++*n;
+    }
+  }
+  for (const EdgeDelta& r : delta.removed_edges) {
     if (!schema_.HasRelation(r.relation)) {
       return Status::InvalidArgument(StrFormat(
           "relation %s not in schema", RelationTypeName(r.relation)));
     }
-    const auto same = [&r](const EdgeDelta& e) {
-      return e.relation == r.relation && e.src == r.src && e.dst == r.dst;
-    };
-    size_t available = 0;
-    for (const auto& [src, dst] : edges_[static_cast<size_t>(r.relation)]) {
-      if (src == r.src && dst == r.dst) ++available;
-    }
-    available += static_cast<size_t>(
-        std::count_if(delta.edges.begin(), delta.edges.end(), same));
-    const size_t removed_before = static_cast<size_t>(std::count_if(
-        delta.removed_edges.begin(), delta.removed_edges.begin() + i, same));
-    if (removed_before >= available) {
+    size_t* left =
+        available[static_cast<size_t>(r.relation)].Find(r.src, r.dst);
+    if (left == nullptr || *left == 0) {
       return Status::NotFound(StrFormat(
           "removal of edge (%u -> %u) relation %s: no stored occurrence "
           "left to remove",
           r.src, r.dst, RelationTypeName(r.relation)));
     }
+    --*left;
   }
   return Status::OK();
 }
 
 Status HeteroNetwork::ApplyDelta(const GraphDelta& delta) {
   ACTIVEITER_RETURN_IF_ERROR(ValidateDelta(delta));
+  ApplyValidatedDelta(delta);
+  return Status::OK();
+}
+
+void HeteroNetwork::ApplyValidatedDelta(const GraphDelta& delta) {
   for (const NodeDelta& n : delta.nodes) {
     node_counts_[static_cast<size_t>(n.type)] += n.count;
   }
   for (const EdgeDelta& e : delta.edges) {
     edges_[static_cast<size_t>(e.relation)].emplace_back(e.src, e.dst);
   }
+  if (delta.removed_edges.empty()) return;
+  // One stable compaction per touched relation drops the first k stored
+  // occurrences of each key removed k times: the same survivors, in the
+  // same order, as k first-occurrence erases.
+  auto pending = RemovalKeys(delta.removed_edges, node_counts_);
   for (const EdgeDelta& r : delta.removed_edges) {
-    auto& list = edges_[static_cast<size_t>(r.relation)];
-    auto it = std::find(list.begin(), list.end(),
-                        std::make_pair(r.src, r.dst));
-    ACTIVEITER_CHECK_MSG(it != list.end(),
-                         "validated removal missing at apply time");
-    list.erase(it);
+    ++*pending[static_cast<size_t>(r.relation)].Find(r.src, r.dst);
   }
-  return Status::OK();
+  for (size_t rel = 0; rel < kNumRelationTypes; ++rel) {
+    if (pending[rel].count.empty()) continue;
+    auto& list = edges_[rel];
+    size_t kept = 0;
+    for (size_t k = 0; k < list.size(); ++k) {
+      size_t* left = pending[rel].Find(list[k].first, list[k].second);
+      if (left != nullptr && *left > 0) {
+        --*left;
+        continue;
+      }
+      if (kept != k) list[kept] = list[k];
+      ++kept;
+    }
+    list.resize(kept);
+    for (const auto& [key, left] : pending[rel].count) {
+      ACTIVEITER_CHECK_MSG(left == 0,
+                           "validated removal missing at apply time");
+    }
+  }
 }
 
 size_t HeteroNetwork::EdgeCount(RelationType relation) const {

@@ -121,6 +121,11 @@ class HeteroNetwork {
   std::string ToString() const;
 
  private:
+  friend class AlignedPair;  // validates both sides, then applies each
+
+  /// ApplyDelta's mutation, for a batch ValidateDelta accepted.
+  void ApplyValidatedDelta(const GraphDelta& delta);
+
   NetworkSchema schema_;
   std::string name_;
   std::array<size_t, kNumNodeTypes> node_counts_{};

@@ -34,22 +34,6 @@ SparseMatrix Transpose(const SparseMatrix& a, ThreadPool* pool = nullptr);
 /// row-blocked across `pool` when non-null, with identical output.
 SparseMatrix CompressDense(const Matrix& dense, ThreadPool* pool = nullptr);
 
-/// Delta-bounded incremental SpGEMM. Recomputes only the output rows
-/// listed in `rows` (sorted, unique, < a.rows()) with the exact Gustavson
-/// per-row kernel of SpGemm and splices every other row unchanged from
-/// `base`, a previous product of shape a.rows() × b.cols() (pad it first
-/// when the universes grew). Because SpGemm's output rows are computed
-/// independently, the result is BITWISE-equal to SpGemm(a, b) whenever
-/// `rows` covers every row whose product could have changed — i.e. the
-/// rows of A that changed plus the rows of A that touch a changed row of
-/// B (recomputing an unchanged row is harmless, so any superset works).
-/// Cost: O(flops of the listed rows + nnz(base) splice copy) instead of
-/// the full product.
-SparseMatrix SpGemmRowUpdate(const SparseMatrix& base, const SparseMatrix& a,
-                             const SparseMatrix& b,
-                             const std::vector<uint32_t>& rows,
-                             ThreadPool* pool = nullptr);
-
 /// Elementwise (Hadamard) product; shapes must match (checked).
 /// Row-partitioned across `pool` when non-null; bitwise-identical results.
 SparseMatrix Hadamard(const SparseMatrix& a, const SparseMatrix& b,
@@ -71,6 +55,64 @@ SparseMatrix Hadamard(const SparseMatrix& a, const SparseMatrix& b,
 SparseMatrix FaceSplitHadamard(const std::vector<const SparseMatrix*>& xs,
                                const std::vector<const SparseMatrix*>& ys,
                                ThreadPool* pool = nullptr);
+
+// Δ kernels: the delta-aware feature engine (delta_features.h) carries
+// each cached count matrix P from one epoch to the next as P + ΔP, where
+// ΔP = P_now − P_prev is a signed CSR matrix of P's current shape with its
+// zeros dropped. Counts and their changes are integers below 2⁵³, so every
+// sum below is exact in any order, and last epoch's product plus its exact
+// change is bitwise the product recomputed in full (same values, no stored
+// zeros). Nothing here is pooled: the engine refreshes on one thread.
+
+/// base + delta, with `base` padded to delta's shape (its missing rows and
+/// columns are empty) and zeros dropped. Rows where `delta` stores nothing
+/// are bulk-copied from `base`; each other row is one linear merge of the
+/// two rows. Requires base to be no larger than delta (checked). Counts
+/// the copied rows on "linalg.spgemm.rows_spliced" and the merged ones on
+/// "linalg.spgemm.rows_recomputed".
+SparseMatrix AddDelta(const SparseMatrix& base, const SparseMatrix& delta);
+
+/// now − before over the listed rows of `now` (sorted, unique, < rows;
+/// checked), `before` padded to now's shape; every other row is empty.
+SparseMatrix RowsDelta(const SparseMatrix& now, const SparseMatrix& before,
+                       const std::vector<uint32_t>& rows);
+
+/// Δ(L·R) = ΔL·R + L·ΔR − ΔL·ΔR from the CURRENT l and r and their changes
+/// (nullptr: unchanged), so no previous operand is needed. One Gustavson
+/// pass, taking the last two terms as (L − ΔL)·ΔR: a row of L is scanned
+/// only when ΔR is given, and only its entries that meet a changed row of
+/// R do any work. Shapes checked.
+SparseMatrix SpGemmDelta(const SparseMatrix& l, const SparseMatrix* dl,
+                         const SparseMatrix& r, const SparseMatrix* dr);
+
+/// Δ of the stack B₁ ∘ … ∘ Bₖ from the current branches and their changes
+/// (nullptr: unchanged). Only rows some ΔBᵢ stores an entry in can change,
+/// and each takes the cheaper of two exact paths, chosen by counting
+/// entries:
+///   * with `before`, the stack's last value (nullable, padded to the
+///     branches' shape), re-intersect the row from its shortest branch
+///     (each entry galloping to its place in the longer rows) and diff it
+///     against before's row — when those two rows hold fewer entries than
+///     the row's Δs;
+///   * otherwise evaluate only the Δ entries: the stack is ∏ Bᵢ now and
+///     ∏ (Bᵢ − ΔBᵢ) before, looked up branch by branch, shortest row
+///     first, dropping an entry as soon as both products are zero.
+/// Shapes checked.
+SparseMatrix HadamardDelta(const SparseMatrix* before,
+                           const std::vector<const SparseMatrix*>& branches,
+                           const std::vector<const SparseMatrix*>& deltas);
+
+/// Δ of FaceSplitHadamard(xs, ys) = F·Gᵀ (F = X₁ ⊙ … ⊙ Xₖ, G = Y₁ᵀ ⊙ … ⊙
+/// Yₖᵀ) from the current xs, ys and their changes dxs, dys (nullptr:
+/// unchanged): ΔF·Gᵀ + F·ΔGᵀ − ΔF·ΔGᵀ. ΔF holds only the left posts some
+/// ΔXᵢ changes and ΔG only the right posts some ΔYᵢ changes; each join
+/// numbers the few tuples of one Δ side and makes one pass over the other
+/// side's posts, so no tuple key outgrows 64 bits. Shapes checked.
+SparseMatrix FaceSplitHadamardDelta(
+    const std::vector<const SparseMatrix*>& xs,
+    const std::vector<const SparseMatrix*>& dxs,
+    const std::vector<const SparseMatrix*>& ys,
+    const std::vector<const SparseMatrix*>& dys);
 
 /// A + B; shapes must match (checked).
 SparseMatrix Add(const SparseMatrix& a, const SparseMatrix& b);

@@ -8,45 +8,6 @@
 #include "src/linalg/sparse_ops.h"
 
 namespace activeiter {
-namespace {
-
-/// Result of incrementally bringing one expression up to date: the new
-/// count matrix plus the sorted output rows that may differ from last
-/// epoch (a superset is fine — recomputing an unchanged row is harmless).
-struct IncResult {
-  std::shared_ptr<const SparseMatrix> matrix;
-  std::vector<uint32_t> changed;
-};
-
-/// Changed output rows of left·right: the left factor's changed rows plus
-/// every left row that reads a changed row of the right factor. One
-/// O(nnz(left)) mask scan — far below the product's flop count.
-std::vector<uint32_t> ChangedProductRows(const IncResult& left,
-                                         const IncResult& right) {
-  if (right.changed.empty()) return left.changed;
-  std::vector<uint8_t> mask(right.matrix->rows(), 0);
-  for (uint32_t r : right.changed) mask[r] = 1;
-  const auto& ptr = left.matrix->row_ptr();
-  const auto& col = left.matrix->col_idx();
-  std::vector<uint32_t> reached;
-  for (size_t i = 0; i < left.matrix->rows(); ++i) {
-    for (size_t k = ptr[i]; k < ptr[i + 1]; ++k) {
-      if (mask[col[k]]) {
-        reached.push_back(static_cast<uint32_t>(i));
-        break;
-      }
-    }
-  }
-  if (left.changed.empty()) return reached;
-  std::vector<uint32_t> merged;
-  merged.reserve(left.changed.size() + reached.size());
-  std::set_union(left.changed.begin(), left.changed.end(), reached.begin(),
-                 reached.end(), std::back_inserter(merged));
-  return merged;
-}
-
-}  // namespace
-
 DeltaFeatureExtractor::DeltaFeatureExtractor(
     const AlignedPair& pair, std::vector<AnchorLink> train_anchors,
     FeatureExtractorOptions options)
@@ -61,6 +22,10 @@ DeltaFeatureExtractor::DeltaFeatureExtractor(
 }
 
 void DeltaFeatureExtractor::IndexShapes(const ExprPtr& node) {
+  auto [it, fresh] = plans_.try_emplace(node.get());
+  if (!fresh) return;  // a shared subtree
+  NodePlan& plan = it->second;
+  plan.transposed = TransposedSignature(*node);
   const std::string& sig = node->signature();
   if (node->kind() == DiagramNode::Kind::kStep) {
     step_sigs_.insert(sig);
@@ -71,14 +36,19 @@ void DeltaFeatureExtractor::IndexShapes(const ExprPtr& node) {
   if (node->kind() == DiagramNode::Kind::kChain) {
     // The evaluator stores every chain *prefix* under
     // ChainSignature(child sigs 0..i); its shape spans child 0's source to
-    // child i's target.
-    std::vector<std::string> sigs;
+    // child i's target, and its reversal chains the transposed children
+    // backwards.
     const auto& children = node->children();
-    sigs.push_back(children.front()->signature());
+    std::vector<std::string> sigs{children.front()->signature()};
+    std::vector<std::string> tsigs{TransposedSignature(*children.front())};
     for (size_t i = 1; i < children.size(); ++i) {
       sigs.push_back(children[i]->signature());
+      tsigs.push_back(TransposedSignature(*children[i]));
+      plan.prefixes.push_back(ChainSignature(sigs));
+      plan.reversed_prefixes.push_back(
+          ChainSignature({tsigs.rbegin(), tsigs.rend()}));
       shape_of_sig_.emplace(
-          ChainSignature(sigs),
+          plan.prefixes.back(),
           Shape{children.front()->source_type(),
                 children.front()->source_side(), children[i]->target_type(),
                 children[i]->target_side()});
@@ -94,6 +64,20 @@ size_t DeltaFeatureExtractor::UniverseOf(NodeType type,
   return net.NodeCount(type);
 }
 
+std::vector<uint32_t>& DeltaFeatureExtractor::TouchedRows(
+    NetworkSide side, RelationType relation, bool forward) {
+  return touched_rows_[(side == NetworkSide::kFirst ? 0 : 2) +
+                       (forward ? 0 : 1) +
+                       4 * static_cast<size_t>(relation)];
+}
+
+bool DeltaFeatureExtractor::Dirty(const std::string& sig) const {
+  for (const std::string& token : dirty_tokens_) {
+    if (sig.find(token) != std::string::npos) return true;
+  }
+  return false;
+}
+
 void DeltaFeatureExtractor::NoteDelta(const PairDelta& delta) {
   const GraphDelta* sides[2] = {&delta.first, &delta.second};
   for (int s = 0; s < 2; ++s) {
@@ -102,23 +86,14 @@ void DeltaFeatureExtractor::NoteDelta(const PairDelta& delta) {
       dirty_tokens_.insert(StepRef::Rel(side, rel, true).Token());
       dirty_tokens_.insert(StepRef::Rel(side, rel, false).Token());
     }
-    // Record which adjacency rows each new edge touches: (src, dst) adds
-    // an entry in row src of the forward matrix and row dst of the
-    // backward one. These sets bound the incremental SpGEMM in Refresh().
-    // A removed edge touches exactly the same rows — the splice path does
-    // not care whether a row gained or lost entries, only that it must be
-    // recomputed — so shrink deltas flow through the same machinery.
-    for (const EdgeDelta& e : sides[s]->edges) {
-      changed_step_rows_[StepRef::Rel(side, e.relation, true).Token()]
-          .insert(static_cast<uint32_t>(e.src));
-      changed_step_rows_[StepRef::Rel(side, e.relation, false).Token()]
-          .insert(static_cast<uint32_t>(e.dst));
-    }
-    for (const EdgeDelta& e : sides[s]->removed_edges) {
-      changed_step_rows_[StepRef::Rel(side, e.relation, true).Token()]
-          .insert(static_cast<uint32_t>(e.src));
-      changed_step_rows_[StepRef::Rel(side, e.relation, false).Token()]
-          .insert(static_cast<uint32_t>(e.dst));
+    // Record which adjacency rows each added or removed edge touches.
+    // Refresh() diffs exactly these rows against the previous context, so
+    // growth and shrink deltas flow through the same path.
+    for (const auto* edges : {&sides[s]->edges, &sides[s]->removed_edges}) {
+      for (const EdgeDelta& e : *edges) {
+        TouchedRows(side, e.relation, true).push_back(e.src);
+        TouchedRows(side, e.relation, false).push_back(e.dst);
+      }
     }
   }
   // Node growth (and the anchor matrices, whose user dimensions track it)
@@ -131,109 +106,88 @@ std::vector<size_t> DeltaFeatureExtractor::Refresh() {
   const RefreshStats before = stats_;  // registry delta published at exit
   ++stats_.refreshes;
 
-  auto new_ctx = std::make_unique<RelationContext>(*pair_, train_anchors_,
-                                                   options_.pool);
-  auto new_cache = std::make_unique<ProductPlanCache>();
-  std::vector<std::string> dirty_sigs;  // splice candidates, decided below
-  if (cache_ != nullptr) {
-    // Migrate survivors: drop step aliases (the new context re-serves
-    // them); pad everything clean to the grown universes. Padding is
-    // exact — new nodes have no edges, so the padded product equals the
-    // recomputed one. Entries reachable from a dirty relation are not
-    // dropped yet: the splicing pass below may still serve them by
-    // recomputing only the delta-reachable rows.
-    cache_->ForEach([&](const std::string& sig,
-                        const std::shared_ptr<const SparseMatrix>& m) {
-      if (step_sigs_.count(sig) != 0) return;
-      for (const std::string& token : dirty_tokens_) {
-        if (sig.find(token) != std::string::npos) {
-          if (shape_of_sig_.count(sig) != 0) {
-            dirty_sigs.push_back(sig);
-          } else {
-            ++stats_.intermediates_dropped;
-          }
-          return;
-        }
-      }
-      auto it = shape_of_sig_.find(sig);
-      if (it == shape_of_sig_.end()) {
-        ++stats_.intermediates_dropped;
-        return;
-      }
-      const Shape& shape = it->second;
-      new_cache->Store(sig,
-                       std::make_shared<SparseMatrix>(m->PaddedTo(
-                           UniverseOf(shape.src_type, shape.src_side),
-                           UniverseOf(shape.dst_type, shape.dst_side))));
-      ++stats_.intermediates_migrated;
-    });
-  }
-  auto old_cache = std::move(cache_);
-  ctx_ = std::move(new_ctx);
-  cache_ = std::move(new_cache);
-
-  // Delta-bounded incremental pass: serve dirty chain products by splicing
-  // only the delta-reachable rows over last epoch's cache.
-  std::unordered_set<std::string> row_updated_roots;
-  if (old_cache != nullptr && !dirty_sigs.empty() &&
-      options_.spgemm_row_update_max_fraction > 0.0) {
-    row_updated_roots = RowUpdateDirtyRoots(*old_cache);
-  }
-  // Whatever the splicing pass did not rescue is dropped for real.
-  for (const std::string& sig : dirty_sigs) {
-    if (cache_->Peek(sig) == nullptr) ++stats_.intermediates_dropped;
-  }
-  dirty_tokens_.clear();
-  changed_step_rows_.clear();
-  pending_refresh_ = false;
-
-  // Row-updated diagrams count as dirty columns: their count matrices
-  // changed, and Dice proximity renormalises over global column sums, so
-  // their score tables must rebuild even though no chain re-ran in full.
-  std::vector<size_t> dirty_columns;
-  std::vector<bool> is_dirty(catalog_.size(), false);
-  for (size_t k = 0; k < catalog_.size(); ++k) {
-    const std::string sig = catalog_[k].Signature();
-    if (cache_->Peek(sig) == nullptr) {
-      dirty_columns.push_back(k);
-      is_dirty[k] = true;
-      ++stats_.diagrams_recomputed;
-    } else if (row_updated_roots.count(sig) != 0) {
-      dirty_columns.push_back(k);
-      is_dirty[k] = true;
-      ++stats_.diagrams_row_updated;
-    } else {
-      ++stats_.diagrams_reused;
-    }
-  }
-
-  EvaluatorOptions eval_options;
-  eval_options.pool = options_.pool;
-  eval_options.shared_cache = cache_.get();
-  DiagramEvaluator evaluator(ctx_.get(), eval_options);
-  // Seed the shared prefixes serially before fanning out, exactly as
-  // FeatureExtractor::EnsureScores does (clean chains are O(1) hits).
-  for (const auto& d : catalog_) {
-    if (d.root()->kind() == DiagramNode::Kind::kChain) evaluator.Evaluate(d);
-  }
-  // Only the dirty diagrams re-run their DAGs and rebuild their proximity
-  // tables; clean ones carry last epoch's table over, padded to the grown
-  // universes (values unchanged — new users have no instances).
+  // Last epoch's context stays alive until the refresh ends: the step Δs
+  // diff against it.
+  std::unique_ptr<RelationContext> old_ctx = std::move(ctx_);
+  ctx_ = std::make_unique<RelationContext>(*pair_, train_anchors_,
+                                           options_.pool);
+  std::unique_ptr<ProductPlanCache> old_cache = std::move(cache_);
+  cache_ = std::make_unique<ProductPlanCache>();
   const size_t users_first = UniverseOf(NodeType::kUser, NetworkSide::kFirst);
   const size_t users_second =
       UniverseOf(NodeType::kUser, NetworkSide::kSecond);
   std::vector<std::shared_ptr<const ProximityScores>> computed(
       catalog_.size());
-  for (size_t k = 0; k < catalog_.size(); ++k) {
-    if (is_dirty[k] || tables_ == nullptr) continue;
-    computed[k] = std::make_shared<ProximityScores>(
-        tables_->table(k).PaddedTo(users_first, users_second));
+  std::vector<size_t> dirty_columns;
+  if (old_cache == nullptr) {
+    // The first refresh evaluates every diagram in full, exactly as
+    // FeatureExtractor::EnsureScores does: the shared prefixes seeded
+    // serially, then the fan-out.
+    EvaluatorOptions eval_options;
+    eval_options.pool = options_.pool;
+    eval_options.shared_cache = cache_.get();
+    DiagramEvaluator evaluator(ctx_.get(), eval_options);
+    for (const auto& d : catalog_) {
+      if (d.root()->kind() == DiagramNode::Kind::kChain) evaluator.Evaluate(d);
+    }
+    ThreadPool::ParallelFor(options_.pool, catalog_.size(), [&](size_t k) {
+      computed[k] =
+          std::make_shared<ProximityScores>(evaluator.Evaluate(catalog_[k]));
+    });
+    for (size_t k = 0; k < catalog_.size(); ++k) dirty_columns.push_back(k);
+    stats_.diagrams_recomputed += catalog_.size();
+  } else {
+    // Migrate survivors: drop step aliases (the new context re-serves
+    // them); pad everything clean to the grown universes. Padding is
+    // exact — new nodes have no edges, so the padded product equals the
+    // recomputed one. Dirty entries wait for the Δ pass.
+    std::vector<std::string> dirty_sigs;
+    old_cache->ForEach([&](const std::string& sig,
+                           const std::shared_ptr<const SparseMatrix>& m) {
+      if (step_sigs_.count(sig) != 0) return;
+      auto it = shape_of_sig_.find(sig);
+      if (it == shape_of_sig_.end()) {
+        ++stats_.intermediates_dropped;
+        return;
+      }
+      if (Dirty(sig)) {
+        dirty_sigs.push_back(sig);
+        return;
+      }
+      const Shape& shape = it->second;
+      cache_->Store(sig, std::make_shared<SparseMatrix>(m->PaddedTo(
+                             UniverseOf(shape.src_type, shape.src_side),
+                             UniverseOf(shape.dst_type, shape.dst_side))));
+      ++stats_.intermediates_migrated;
+    });
+    const std::unordered_map<std::string, Carried> carried =
+        CarryForward(*old_cache, *old_ctx);
+    // A dirty entry the Δ pass did not reach is dropped.
+    for (const std::string& sig : dirty_sigs) {
+      if (cache_->Peek(sig) == nullptr) ++stats_.intermediates_dropped;
+    }
+    // Carried diagrams count as dirty columns: their count matrices may
+    // have changed, and Dice renormalises over whole rows and columns.
+    // Each table is last epoch's carried forward by its root's Δ, or by
+    // none for a clean root, whose migrated product is only padded.
+    for (size_t k = 0; k < catalog_.size(); ++k) {
+      const std::string& sig = catalog_[k].root()->signature();
+      if (auto it = carried.find(sig); it != carried.end()) {
+        dirty_columns.push_back(k);
+        ++stats_.diagrams_row_updated;
+        computed[k] = std::make_shared<ProximityScores>(
+            tables_->table(k).CarriedForward(it->second.now,
+                                             it->second.delta.get()));
+      } else {
+        ++stats_.diagrams_reused;
+        computed[k] = std::make_shared<ProximityScores>(
+            tables_->table(k).CarriedForward(cache_->Peek(sig), nullptr));
+      }
+    }
   }
-  ThreadPool::ParallelFor(options_.pool, dirty_columns.size(), [&](size_t i) {
-    const size_t k = dirty_columns[i];
-    auto counts = evaluator.Evaluate(catalog_[k]);
-    computed[k] = std::make_shared<ProximityScores>(*counts);
-  });
+  dirty_tokens_.clear();
+  for (std::vector<uint32_t>& rows : touched_rows_) rows.clear();
+  pending_refresh_ = false;
   tables_ = std::make_shared<const ProximityTables>(
       std::move(computed), users_first, users_second);
   initialised_ = true;
@@ -283,181 +237,167 @@ void DeltaFeatureExtractor::PublishRefreshStatsDelta(
                                           before.intermediates_row_updated);
 }
 
-std::unordered_set<std::string>
-DeltaFeatureExtractor::RowUpdateDirtyRoots(const ProductPlanCache& old_cache) {
-  const double max_fraction = options_.spgemm_row_update_max_fraction;
-  // Signature → incremental result for everything resolved this pass
-  // (clean adoptions get an empty changed set). Values are address-stable
-  // (node-based map), so IncResult pointers survive later insertions.
-  std::unordered_map<std::string, IncResult> memo;
-  std::unordered_set<std::string> failed;   // bailed to full recompute
-  std::unordered_set<std::string> spliced;  // stored into cache_ this pass
-
-  // Last epoch's product for `sig`, padded to the grown universes (exact:
-  // new nodes have no edges), or nullptr when the old cache never held it.
-  auto padded_base =
-      [&](const std::string& sig) -> std::shared_ptr<const SparseMatrix> {
-    auto m = old_cache.Peek(sig);
-    if (m == nullptr) return nullptr;
-    auto it = shape_of_sig_.find(sig);
-    if (it == shape_of_sig_.end()) return nullptr;
-    const Shape& shape = it->second;
-    return std::make_shared<SparseMatrix>(
-        m->PaddedTo(UniverseOf(shape.src_type, shape.src_side),
-                    UniverseOf(shape.dst_type, shape.dst_side)));
-  };
-
-  // Memo first, then the already-migrated (clean) entries of the new
-  // cache; both carry no pending row changes beyond what memo recorded.
-  auto resolve = [&](const std::string& sig) -> const IncResult* {
+std::unordered_map<std::string, DeltaFeatureExtractor::Carried>
+DeltaFeatureExtractor::CarryForward(const ProductPlanCache& old_cache,
+                                    const RelationContext& old_ctx) {
+  // Signature → this epoch's node, for everything resolved this pass
+  // (clean migrated entries included, with no Δ). Node-based map, so
+  // pointers into it survive later insertions.
+  std::unordered_map<std::string, Carried> memo;
+  auto resolve = [&](const std::string& sig) -> const Carried* {
     auto it = memo.find(sig);
     if (it != memo.end()) return &it->second;
     if (auto m = cache_->Peek(sig)) {
-      return &memo.emplace(sig, IncResult{std::move(m), {}}).first->second;
+      return &memo.emplace(sig, Carried{std::move(m), nullptr}).first->second;
     }
     return nullptr;
   };
+  auto nonempty = [](SparseMatrix m) -> std::shared_ptr<const SparseMatrix> {
+    if (m.nnz() == 0) return nullptr;
+    return std::make_shared<const SparseMatrix>(std::move(m));
+  };
+  // Stores this epoch's value of `sig` given its exact change `delta`:
+  // last epoch's product plus delta, or full() when there was none.
+  auto finish = [&](const std::string& sig,
+                    std::shared_ptr<const SparseMatrix> delta,
+                    const std::function<SparseMatrix()>& full)
+      -> const Carried& {
+    std::shared_ptr<const SparseMatrix> now;
+    if (auto prev = old_cache.Peek(sig)) {
+      const Shape& shape = shape_of_sig_.at(sig);
+      const size_t rows = UniverseOf(shape.src_type, shape.src_side);
+      const size_t cols = UniverseOf(shape.dst_type, shape.dst_side);
+      if (delta != nullptr) {
+        now = std::make_shared<const SparseMatrix>(AddDelta(*prev, *delta));
+      } else if (prev->rows() == rows && prev->cols() == cols) {
+        now = std::move(prev);
+      } else {
+        now = std::make_shared<const SparseMatrix>(prev->PaddedTo(rows, cols));
+      }
+      ++stats_.intermediates_row_updated;
+    } else {
+      now = std::make_shared<const SparseMatrix>(full());
+    }
+    now = cache_->Store(sig, std::move(now));
+    return memo.emplace(sig, Carried{std::move(now), std::move(delta)})
+        .first->second;
+  };
+  // The node its reversal `twin` serves, as the evaluator does.
+  auto transposed = [&](const std::string& sig,
+                        const Carried& twin) -> const Carried& {
+    return finish(sig,
+                  twin.delta != nullptr
+                      ? std::make_shared<const SparseMatrix>(
+                            Transpose(*twin.delta))
+                      : nullptr,
+                  [&] { return Transpose(*twin.now, options_.pool); });
+  };
 
-  std::function<const IncResult*(const ExprPtr&)> eval =
-      [&](const ExprPtr& node) -> const IncResult* {
+  // Mirrors DiagramEvaluator::Evaluate's choices (cache hit, then the
+  // transposed twin, then the node's kind), so the entries it stores are
+  // the ones the next refresh finds.
+  std::function<const Carried&(const ExprPtr&)> eval =
+      [&](const ExprPtr& node) -> const Carried& {
     const std::string& sig = node->signature();
-    if (failed.count(sig) != 0) return nullptr;
-    if (const IncResult* hit = resolve(sig)) return hit;
-    switch (node->kind()) {
-      case DiagramNode::Kind::kStep: {
-        IncResult r;
-        // Non-owning alias, exactly as the evaluator serves steps; the
-        // context holds the *current* adjacency already.
-        r.matrix = std::shared_ptr<const SparseMatrix>(
-            std::shared_ptr<const void>(), &ctx_->Get(node->step()));
-        auto rows = changed_step_rows_.find(sig);
-        if (rows != changed_step_rows_.end()) {
-          r.changed.assign(rows->second.begin(), rows->second.end());
-          std::sort(r.changed.begin(), r.changed.end());
-        }
-        return &memo.emplace(sig, std::move(r)).first->second;
-      }
-      case DiagramNode::Kind::kChain: {
-        // Prefix walk mirroring DiagramEvaluator::EvaluateChain: adopt
-        // clean prefixes, splice dirty ones over last epoch's product.
-        const auto& children = node->children();
-        const IncResult* cur = eval(children.front());
-        if (cur == nullptr) {
-          failed.insert(sig);
-          return nullptr;
-        }
-        std::vector<std::string> sigs{children.front()->signature()};
-        for (size_t i = 1; i < children.size(); ++i) {
-          sigs.push_back(children[i]->signature());
-          const std::string prefix_sig = ChainSignature(sigs);
-          if (const IncResult* clean = resolve(prefix_sig)) {
-            cur = clean;
-            continue;
-          }
-          const IncResult* rhs = eval(children[i]);
-          if (rhs == nullptr) {
-            failed.insert(sig);
-            return nullptr;
-          }
-          IncResult next;
-          next.changed = ChangedProductRows(*cur, *rhs);
-          // Decide before padding: a prefix that bails would throw the
-          // O(nnz) padded copy away.
-          std::shared_ptr<const SparseMatrix> base;
-          if (static_cast<double>(next.changed.size()) <=
-              max_fraction * static_cast<double>(cur->matrix->rows())) {
-            base = padded_base(prefix_sig);
-          }
-          if (base == nullptr) {
-            failed.insert(sig);
-            return nullptr;
-          }
-          next.matrix = cache_->Store(
-              prefix_sig, std::make_shared<SparseMatrix>(
-                              SpGemmRowUpdate(*base, *cur->matrix,
-                                              *rhs->matrix, next.changed,
-                                              options_.pool)));
-          spliced.insert(prefix_sig);
-          ++stats_.intermediates_row_updated;
-          cur = &memo.emplace(prefix_sig, std::move(next)).first->second;
-        }
-        return cur;  // the last prefix signature IS the chain signature
-      }
-      case DiagramNode::Kind::kParallel: {
-        // A face-split node's branches X·Y are never formed: the node is
-        // recomputed in O(posts) rather than spliced, and each branch's
-        // changed rows follow from X's and Y's. Any other stack refolds its
-        // Hadamard in the evaluator's exact child order (elementwise,
-        // O(nnz) — far below any chain product). Changed rows of an
-        // elementwise product are a subset of the union of the branches'.
-        const bool face_split = IsFaceSplit(*node);
-        std::vector<const SparseMatrix*> xs, ys, branches;
-        std::vector<std::vector<uint32_t>> branch_changed;
-        for (const auto& c : node->children()) {
-          if (face_split) {
-            const IncResult* x = eval(c->children()[0]);
-            const IncResult* y =
-                x != nullptr ? eval(c->children()[1]) : nullptr;
-            if (y == nullptr) {
-              failed.insert(sig);
-              return nullptr;
-            }
-            xs.push_back(x->matrix.get());
-            ys.push_back(y->matrix.get());
-            branch_changed.push_back(ChangedProductRows(*x, *y));
-            continue;
-          }
-          const IncResult* b = eval(c);
-          if (b == nullptr) {
-            failed.insert(sig);
-            return nullptr;
-          }
-          branches.push_back(b->matrix.get());
-          branch_changed.push_back(b->changed);
-        }
-        SparseMatrix m = face_split
-                             ? FaceSplitHadamard(xs, ys, options_.pool)
-                             : Hadamard(*branches[0], *branches[1],
-                                        options_.pool);
-        for (size_t i = 2; i < branches.size(); ++i) {
-          m = Hadamard(m, *branches[i], options_.pool);
-        }
-        IncResult r;
-        for (std::vector<uint32_t>& changed : branch_changed) {
-          if (changed.empty()) continue;
-          if (r.changed.empty()) {
-            r.changed = std::move(changed);
-            continue;
-          }
-          std::vector<uint32_t> merged;
-          merged.reserve(r.changed.size() + changed.size());
-          std::set_union(r.changed.begin(), r.changed.end(), changed.begin(),
-                         changed.end(), std::back_inserter(merged));
-          r.changed = std::move(merged);
-        }
-        r.matrix =
-            cache_->Store(sig, std::make_shared<SparseMatrix>(std::move(m)));
-        spliced.insert(sig);
-        ++stats_.intermediates_row_updated;
-        return &memo.emplace(sig, std::move(r)).first->second;
+    if (const Carried* hit = resolve(sig)) return *hit;
+    const NodePlan& plan = plans_.at(node.get());
+    if (node->kind() != DiagramNode::Kind::kStep) {
+      if (const Carried* twin = resolve(plan.transposed)) {
+        return transposed(sig, *twin);
       }
     }
-    failed.insert(sig);
-    return nullptr;
+    if (node->kind() == DiagramNode::Kind::kStep) {
+      // Non-owning alias, exactly as the evaluator serves steps.
+      const SparseMatrix& now = ctx_->Get(node->step());
+      Carried c{std::shared_ptr<const SparseMatrix>(
+                    std::shared_ptr<const void>(), &now),
+                nullptr};
+      const StepRef& step = node->step();
+      if (!step.is_anchor) {
+        std::vector<uint32_t> rows =
+            TouchedRows(step.side, step.relation, step.forward);
+        std::sort(rows.begin(), rows.end());
+        rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+        if (!rows.empty()) {
+          c.delta = nonempty(RowsDelta(now, old_ctx.Get(step), rows));
+        }
+      }
+      return memo.emplace(sig, std::move(c)).first->second;
+    }
+    if (node->kind() == DiagramNode::Kind::kChain) {
+      // Prefix walk mirroring DiagramEvaluator::EvaluateChain.
+      const auto& children = node->children();
+      const Carried* cur = &eval(children.front());
+      for (size_t i = 1; i < children.size(); ++i) {
+        const std::string& prefix_sig = plan.prefixes[i - 1];
+        if (const Carried* hit = resolve(prefix_sig)) {
+          cur = hit;
+        } else if (const Carried* twin =
+                       resolve(plan.reversed_prefixes[i - 1])) {
+          cur = &transposed(prefix_sig, *twin);
+        } else {
+          const Carried& l = *cur;
+          const Carried& r = eval(children[i]);
+          cur = &finish(
+              prefix_sig,
+              nonempty(SpGemmDelta(*l.now, l.delta.get(), *r.now,
+                                   r.delta.get())),
+              [&] { return SpGemm(*l.now, *r.now, options_.pool); });
+        }
+      }
+      return *cur;  // the last prefix signature IS the chain signature
+    }
+    std::vector<const SparseMatrix*> nows, deltas;
+    bool changed = false;
+    if (IsFaceSplit(*node)) {
+      std::vector<const SparseMatrix*> ys, dys;
+      for (const auto& branch : node->children()) {
+        const Carried& x = eval(branch->children()[0]);
+        const Carried& y = eval(branch->children()[1]);
+        nows.push_back(x.now.get());
+        deltas.push_back(x.delta.get());
+        ys.push_back(y.now.get());
+        dys.push_back(y.delta.get());
+        changed = changed || x.delta != nullptr || y.delta != nullptr;
+      }
+      return finish(
+          sig,
+          changed ? nonempty(FaceSplitHadamardDelta(nows, deltas, ys, dys))
+                  : nullptr,
+          [&] { return FaceSplitHadamard(nows, ys, options_.pool); });
+    }
+    for (const auto& branch : node->children()) {
+      const Carried& b = eval(branch);
+      nows.push_back(b.now.get());
+      deltas.push_back(b.delta.get());
+      changed = changed || b.delta != nullptr;
+    }
+    const auto before = old_cache.Peek(sig);
+    return finish(
+        sig,
+        changed ? nonempty(HadamardDelta(before.get(), nows, deltas)) : nullptr,
+        [&] {
+          SparseMatrix m = Hadamard(*nows[0], *nows[1], options_.pool);
+          for (size_t i = 2; i < nows.size(); ++i) {
+            m = Hadamard(m, *nows[i], options_.pool);
+          }
+          return m;
+        });
   };
 
-  std::unordered_set<std::string> served;
-  for (const auto& d : catalog_) {
-    const std::string sig = d.Signature();
-    // A root can already be spliced as a sub-expression of an earlier one
-    // (meta paths are branches of the fused diagrams); a Peek hit outside
-    // `spliced` is a clean migration and needs nothing.
-    if (spliced.count(sig) == 0 && cache_->Peek(sig) == nullptr) {
-      eval(d.root());
+  // Chain roots first, then the rest, in catalog order: the order the
+  // evaluator's seeding and fan-out visit them in.
+  std::unordered_map<std::string, Carried> roots;
+  for (bool chains : {true, false}) {
+    for (const auto& d : catalog_) {
+      if ((d.root()->kind() == DiagramNode::Kind::kChain) != chains) continue;
+      const std::string& sig = d.root()->signature();
+      if (Dirty(sig) && roots.count(sig) == 0) {
+        roots.emplace(sig, eval(d.root()));
+      }
     }
-    if (spliced.count(sig) != 0) served.insert(sig);
   }
-  return served;
+  return roots;
 }
 
 Matrix DeltaFeatureExtractor::Extract(const CandidateLinkSet& candidates) {

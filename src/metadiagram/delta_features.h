@@ -15,26 +15,53 @@
 //     signature mentions no dirty token is padded to the grown node
 //     universes (new nodes have no edges yet, so padding with empty
 //     rows/columns IS the recomputed product);
-//   * a dirty intermediate is not necessarily lost either: the delta's
-//     edge endpoints bound which ROWS of each chain product can change, so
-//     Refresh() walks dirty chains prefix-by-prefix and recomputes only
-//     the delta-reachable output rows over last epoch's product
-//     (SpGemmRowUpdate — bitwise-equal to the full SpGEMM), falling back
-//     to the full chain recompute when the changed-row fraction exceeds
-//     FeatureExtractorOptions::spgemm_row_update_max_fraction;
-//   * a face-split node (IsFaceSplit — Ψ2's co-timed ∘ co-located post
-//     pairs) is recomputed, not spliced: FaceSplitHadamard costs O(posts)
-//     and never forms the post × post branch products a splice would need
-//     as bases. Its changed rows follow from its factors' changed rows, so
-//     the chains above it still splice;
+//   * a dirty intermediate is carried forward by its exact change since
+//     the last epoch, P_now = P_prev + ΔP, never recomputed or spliced.
+//     ΔP is a signed CSR matrix of P's current shape with its zeros
+//     dropped, derived bottom-up through the DAG:
+//       - a step's Δ diffs the rows NoteDelta() recorded against the
+//         previous RelationContext, which Refresh() keeps alive until it
+//         ends (a duplicate insertion, or a removal that leaves one copy
+//         of a multi-edge, gives no Δ);
+//       - a chain prefix P = L·R takes ΔL·R + L·ΔR − ΔL·ΔR over the
+//         current L and R (SpGemmDelta), so no old operand is needed;
+//       - a stack changes only in rows some branch changed: each is
+//         re-intersected and diffed against the stack's last value, or
+//         evaluated at its Δ entries alone, whichever reads fewer
+//         entries (HadamardDelta);
+//       - a face-split node (IsFaceSplit — Ψ2's co-timed ∘ co-located
+//         post pairs) joins only the posts whose attribute rows changed
+//         against the other side's posts (FaceSplitHadamardDelta);
+//       - a node its reversal serves is the transpose of that Δ.
+//     AddDelta then merges ΔP into last epoch's product, bulk-copying
+//     every row without a Δ. Counts are integers below 2⁵³, so the sum
+//     equals the recomputed product value for value, and dropping zeros
+//     gives the structure SpGemm and Hadamard produce;
+//   * a dirty diagram's proximity table carries its sums forward the same
+//     way (ProximityScores::CarriedForward): last epoch's row and column
+//     sums, padded, plus its root Δ's;
+//   * the first refresh evaluates every diagram in full; later, a node
+//     with no product last epoch (one the evaluator never stored) is
+//     computed in full by its kernel, and its Δ still comes from the
+//     rules above;
 //   * a diagram whose root signature survives migration is served without
-//     touching a single kernel; remaining dirty diagrams re-evaluate and
-//     hit the migrated cache for every clean or spliced sub-chain (the
-//     PR 1 reuse discipline extended across time).
+//     touching a single kernel.
+//
+// The Δ kernels run serially on the calling thread; only full
+// evaluations use FeatureExtractorOptions::pool, which the serve plane
+// leaves unset.
+//
+// Counters (stats() and the "metadiagram.*" registry twins):
+// diagrams_row_updated and intermediates_row_updated count the columns and
+// cache entries served by a Δ; diagrams_recomputed the columns evaluated in
+// full, which only the first refresh does. The kernel layer's
+// "linalg.spgemm.rows_spliced" counts product rows AddDelta copied
+// unchanged and "linalg.spgemm.rows_recomputed" the rows it merged with a
+// nonzero Δ — names kept from the row splice this engine replaced.
 //
 // Extract() is bitwise-identical to a fresh FeatureExtractor over the
-// current pair: padding adds empty rows, and every recomputed product sees
-// exactly the inputs a from-scratch evaluation would.
+// current pair: padding adds empty rows, and every carried product is the
+// exact sum above.
 //
 // The anchor bridge is the *fixed* labeled set L+ — ground-truth anchors
 // revealed by a delta are oracle/evaluation data, not model input — so
@@ -43,6 +70,7 @@
 #ifndef ACTIVEITER_METADIAGRAM_DELTA_FEATURES_H_
 #define ACTIVEITER_METADIAGRAM_DELTA_FEATURES_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -101,12 +129,12 @@ class DeltaFeatureExtractor {
   /// "metadiagram.*" counters on MetricsRegistry::Default().
   struct RefreshStats {
     size_t refreshes = 0;               // Refresh calls with pending work
-    size_t diagrams_recomputed = 0;     // columns whose DAG re-ran in full
+    size_t diagrams_recomputed = 0;     // columns evaluated in full
     size_t diagrams_reused = 0;         // columns served from migration
-    size_t diagrams_row_updated = 0;    // columns served by row splicing
+    size_t diagrams_row_updated = 0;    // dirty columns carried by a Δ
     size_t intermediates_dropped = 0;   // cache entries lost to dirty tokens
     size_t intermediates_migrated = 0;  // cache entries padded and kept
-    size_t intermediates_row_updated = 0;  // dirty entries spliced in place
+    size_t intermediates_row_updated = 0;  // dirty entries carried by a Δ
   };
 
   /// `pair` must outlive the extractor and is observed through every
@@ -124,10 +152,11 @@ class DeltaFeatureExtractor {
   void NoteDelta(const PairDelta& delta);
 
   /// Brings the engine up to date with every NoteDelta() since the last
-  /// call: rebuilds the relation context, migrates the plan cache
-  /// (pad-or-drop), re-evaluates dirty diagrams, refreshes proximity
-  /// tables. Returns the dirty feature column indices, ascending (empty
-  /// when nothing was pending; all columns on the first call).
+  /// call: rebuilds the relation context, pads the clean cache entries,
+  /// carries the dirty ones and their tables forward by their Δs (the
+  /// first call evaluates everything in full). Returns the dirty feature
+  /// column indices, ascending (empty when nothing was pending; all
+  /// columns on the first call).
   std::vector<size_t> Refresh();
 
   /// |H| × (feature_names().size() + 1) feature matrix over the current
@@ -156,14 +185,26 @@ class DeltaFeatureExtractor {
 
   void IndexShapes(const ExprPtr& node);
   size_t UniverseOf(NodeType type, NetworkSide side) const;
+  /// True when `sig` mentions a relation a pending delta touched.
+  bool Dirty(const std::string& sig) const;
+  /// touched_rows_ of one relation step.
+  std::vector<uint32_t>& TouchedRows(NetworkSide side, RelationType relation,
+                                     bool forward);
   bool pending() const { return !initialised_ || pending_refresh_; }
 
-  /// Serves dirty catalog roots by row splicing (SpGemmRowUpdate) over the
-  /// previous epoch's cache where the delta's changed-row reach allows it;
-  /// returns the root signatures served this way (already stored in
-  /// cache_). `old_cache` is last epoch's (unpadded) intermediate store.
-  std::unordered_set<std::string> RowUpdateDirtyRoots(
-      const ProductPlanCache& old_cache);
+  /// One node brought to this epoch: its count matrix and its exact
+  /// change since the last epoch (nullptr: unchanged).
+  struct Carried {
+    std::shared_ptr<const SparseMatrix> now;
+    std::shared_ptr<const SparseMatrix> delta;
+  };
+
+  /// Carries every dirty catalog root forward by its Δ over last epoch's
+  /// cache, storing each node it resolves into cache_; returns the roots
+  /// by signature. `old_ctx` is last epoch's context (the step Δs diff
+  /// against it).
+  std::unordered_map<std::string, Carried> CarryForward(
+      const ProductPlanCache& old_cache, const RelationContext& old_ctx);
 
   /// Adds this Refresh's stats_ movement (vs the entry snapshot) to the
   /// process-wide "metadiagram.*" registry counters.
@@ -175,11 +216,21 @@ class DeltaFeatureExtractor {
   std::vector<MetaDiagram> catalog_;
   std::vector<std::string> names_;
 
+  /// Signatures the Δ pass looks up for one expression node, computed
+  /// once: its reversal's and, for a chain, each prefix's (children 0..i,
+  /// i ≥ 1) with the reversal of that prefix.
+  struct NodePlan {
+    std::string transposed;
+    std::vector<std::string> prefixes;
+    std::vector<std::string> reversed_prefixes;
+  };
+
   // Signature → endpoint shape for every catalog sub-expression and chain
   // prefix (everything the evaluator can ever store); step signatures are
   // tracked separately because their cache entries alias the context.
   std::unordered_map<std::string, Shape> shape_of_sig_;
   std::unordered_set<std::string> step_sigs_;
+  std::unordered_map<const DiagramNode*, NodePlan> plans_;
 
   std::unique_ptr<RelationContext> ctx_;
   std::unique_ptr<ProductPlanCache> cache_;
@@ -188,12 +239,12 @@ class DeltaFeatureExtractor {
   bool initialised_ = false;
   bool pending_refresh_ = false;
   std::unordered_set<std::string> dirty_tokens_;
-  // Step token → source rows of that step's adjacency changed by the
-  // pending deltas (an edge (src, dst) changes row src of the forward
-  // matrix and row dst of the backward one). Drives the delta-bounded
-  // incremental SpGEMM in Refresh(); cleared alongside dirty_tokens_.
-  std::unordered_map<std::string, std::unordered_set<uint32_t>>
-      changed_step_rows_;
+  // Per side, relation and direction (TouchedRows()): the source rows of
+  // that step's adjacency the pending deltas touched, unsorted and with
+  // repeats (an edge (src, dst) touches row src of the forward matrix and
+  // row dst of the backward one) — the rows a step's Δ diffs in Refresh();
+  // cleared alongside dirty_tokens_.
+  std::array<std::vector<uint32_t>, 4 * kNumRelationTypes> touched_rows_;
   RefreshStats stats_;
 };
 

@@ -191,8 +191,8 @@ void FeatureExtractor::EnsureScores() const {
     if (d.root()->kind() == DiagramNode::Kind::kChain) evaluator.Evaluate(d);
   }
   ThreadPool::ParallelFor(options_.pool, catalog_.size(), [&](size_t k) {
-    auto counts = evaluator.Evaluate(catalog_[k]);
-    computed[k] = std::make_shared<ProximityScores>(*counts);
+    computed[k] =
+        std::make_shared<ProximityScores>(evaluator.Evaluate(catalog_[k]));
   });
   scores_ = std::move(computed);
 }

@@ -40,17 +40,6 @@ struct FeatureExtractorOptions {
   bool include_word_path = false;
   /// Optional pool for per-diagram parallelism; nullptr = sequential.
   ThreadPool* pool = nullptr;
-  /// Delta-aware refresh only (DeltaFeatureExtractor): a dirty chain
-  /// product is served by splicing the delta-reachable output rows over
-  /// last epoch's cached product (SpGemmRowUpdate, bitwise-equal to the
-  /// full SpGEMM) as long as the changed-row fraction stays at or below
-  /// this; larger deltas fall back to the full chain recompute. 0 disables
-  /// splicing entirely. Measured (bench_micro_kernels --record, n = 4096,
-  /// avg degree 16; see BENCH_kernels.json): splicing still wins 2.2× at
-  /// 50% changed rows, so the crossover lies above the whole sweep — the
-  /// default stops at the largest measured-profitable fraction rather
-  /// than extrapolating past it.
-  double spgemm_row_update_max_fraction = 0.5;
 };
 
 /// Extracts proximity feature matrices from an aligned pair, bridging
@@ -86,7 +75,8 @@ class FeatureExtractor {
   std::vector<MetaDiagram> catalog_;
   std::vector<std::string> names_;
   FeatureExtractorOptions options_;
-  // Lazily computed per-diagram proximity tables.
+  // Lazily computed per-diagram proximity tables; each shares its count
+  // matrix with the evaluator's cache rather than copying it.
   mutable std::vector<std::shared_ptr<const ProximityScores>> scores_;
 };
 

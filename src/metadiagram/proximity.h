@@ -8,6 +8,8 @@
 #ifndef ACTIVEITER_METADIAGRAM_PROXIMITY_H_
 #define ACTIVEITER_METADIAGRAM_PROXIMITY_H_
 
+#include <memory>
+
 #include "src/graph/incidence.h"
 #include "src/linalg/sparse.h"
 #include "src/linalg/vector.h"
@@ -15,11 +17,18 @@
 namespace activeiter {
 
 /// A count matrix with cached row/column sums, supporting O(log nnz)
-/// proximity queries.
+/// proximity queries. The counts are shared, not copied: a table holds the
+/// same matrix the product cache that computed it does.
 class ProximityScores {
  public:
-  /// Takes the |U1|×|U2| diagram instance-count matrix.
-  explicit ProximityScores(SparseMatrix counts);
+  /// Takes the |U1|×|U2| diagram instance-count matrix. It must own its
+  /// storage (checked): an aliasing pointer with no owner, such as the
+  /// evaluator's non-owning view of a RelationContext step, would dangle
+  /// once the context is replaced.
+  explicit ProximityScores(std::shared_ptr<const SparseMatrix> counts);
+  explicit ProximityScores(SparseMatrix counts)
+      : ProximityScores(
+            std::make_shared<const SparseMatrix>(std::move(counts))) {}
 
   /// Dice proximity of one user pair; 0 when the pair has no instances at
   /// all (0/0 treated as 0).
@@ -34,18 +43,21 @@ class ProximityScores {
   /// Proximity for each candidate link, in candidate order.
   Vector ScoresFor(const CandidateLinkSet& candidates) const;
 
-  /// Copy padded to grown user universes (new users have no instances, so
-  /// every existing score is unchanged and new pairs score 0). O(nnz)
-  /// copy, no re-summation — the delta-aware engine carries clean
-  /// diagrams across epochs with this instead of rebuilding their tables.
-  ProximityScores PaddedTo(size_t rows, size_t cols) const;
+  /// This table carried to the next epoch: `counts` is the new count
+  /// matrix (its universes may have grown) and `delta` its exact change
+  /// counts − counts() (nullptr: none). The sums are these sums, padded
+  /// with zeros, plus delta's row and column sums, with no pass over
+  /// `counts`: exact for integer counts below 2⁵³, where an emptied row
+  /// sums to +0.0 just as RowSums() gives.
+  ProximityScores CarriedForward(std::shared_ptr<const SparseMatrix> counts,
+                                 const SparseMatrix* delta) const;
 
-  const SparseMatrix& counts() const { return counts_; }
+  const SparseMatrix& counts() const { return *counts_; }
 
  private:
   ProximityScores() = default;
 
-  SparseMatrix counts_;
+  std::shared_ptr<const SparseMatrix> counts_;
   Vector row_sums_;
   Vector col_sums_;
 };

@@ -1,11 +1,15 @@
 #include "src/graph/hetero_network.h"
 
+#include <algorithm>
+#include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/string_util.h"
 #include "src/linalg/sparse_ops.h"
 #include "tests/linalg/csr_bitwise.h"
 
@@ -203,6 +207,150 @@ TEST(HeteroNetworkDeltaTest, InvalidDeltaLeavesNetworkUntouched) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(net.NodeCount(NodeType::kUser), 3u);
   EXPECT_EQ(net.EdgeCount(RelationType::kFollow), 0u);
+}
+
+using EdgeLists =
+    std::array<std::vector<std::pair<NodeId, NodeId>>, kNumRelationTypes>;
+
+EdgeLists EdgesOf(const HeteroNetwork& net) {
+  EdgeLists out;
+  for (int r = 0; r < kNumRelationTypes; ++r) {
+    out[r] = net.Edges(static_cast<RelationType>(r));
+  }
+  return out;
+}
+
+/// The quadratic definition of a batch's edge changes: each removal counts
+/// the stored occurrences, the batch's additions and the earlier removals
+/// of its edge, and the batch applies by appending the additions and then
+/// erasing each removal's first occurrence. Nodes and range checks are
+/// left to ApplyDelta's other tests.
+Status ApplyByDefinition(EdgeLists* edges, const GraphDelta& delta) {
+  for (size_t i = 0; i < delta.removed_edges.size(); ++i) {
+    const EdgeDelta& r = delta.removed_edges[i];
+    const auto same = [&r](const EdgeDelta& e) {
+      return e.relation == r.relation && e.src == r.src && e.dst == r.dst;
+    };
+    const auto& list = (*edges)[static_cast<size_t>(r.relation)];
+    const size_t available =
+        static_cast<size_t>(std::count(list.begin(), list.end(),
+                                       std::make_pair(r.src, r.dst))) +
+        static_cast<size_t>(
+            std::count_if(delta.edges.begin(), delta.edges.end(), same));
+    const size_t removed_before = static_cast<size_t>(std::count_if(
+        delta.removed_edges.begin(), delta.removed_edges.begin() + i, same));
+    if (removed_before >= available) {
+      return Status::NotFound(StrFormat(
+          "removal of edge (%u -> %u) relation %s: no stored occurrence "
+          "left to remove",
+          r.src, r.dst, RelationTypeName(r.relation)));
+    }
+  }
+  for (const EdgeDelta& e : delta.edges) {
+    (*edges)[static_cast<size_t>(e.relation)].emplace_back(e.src, e.dst);
+  }
+  for (const EdgeDelta& r : delta.removed_edges) {
+    auto& list = (*edges)[static_cast<size_t>(r.relation)];
+    list.erase(std::find(list.begin(), list.end(),
+                         std::make_pair(r.src, r.dst)));
+  }
+  return Status::OK();
+}
+
+TEST(HeteroNetworkDeltaTest, RemovalsMatchTheQuadraticDefinition) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    HeteroNetwork net(NetworkSchema::SocialNetwork(), "removals");
+    net.AddNodes(NodeType::kUser, 6);
+    net.AddNodes(NodeType::kPost, 5);
+    net.AddNodes(NodeType::kLocation, 3);
+    // Few endpoints, so edges repeat: multi-edges in every relation.
+    auto random_edge = [&](RelationType relation) {
+      return EdgeDelta{relation,
+                       static_cast<NodeId>(rng.UniformInt(
+                           net.NodeCount(RelationSourceType(relation)))),
+                       static_cast<NodeId>(rng.UniformInt(
+                           net.NodeCount(RelationTargetType(relation))))};
+    };
+    const RelationType relations[] = {RelationType::kFollow,
+                                      RelationType::kWrite,
+                                      RelationType::kCheckin};
+    for (int e = 0; e < 40; ++e) {
+      const EdgeDelta edge = random_edge(relations[rng.UniformInt(3)]);
+      ASSERT_TRUE(net.AddEdge(edge.relation, edge.src, edge.dst).ok());
+    }
+    EdgeLists reference = EdgesOf(net);
+    for (int round = 0; round < 4; ++round) {
+      GraphDelta batch;
+      for (int e = 0; e < 8; ++e) {
+        batch.edges.push_back(random_edge(relations[rng.UniformInt(3)]));
+      }
+      // Removals of stored edges, some repeated, and of edges this batch
+      // adds (the last two additions, one of them twice if it was added
+      // twice).
+      for (const RelationType relation : relations) {
+        const auto& stored = net.Edges(relation);
+        for (size_t e = 0; e < stored.size(); e += 4 + rng.UniformInt(4)) {
+          batch.removed_edges.push_back(
+              {relation, stored[e].first, stored[e].second});
+          if (rng.UniformDouble() < 0.3) {
+            batch.removed_edges.push_back(batch.removed_edges.back());
+          }
+        }
+      }
+      batch.removed_edges.push_back(batch.edges[6]);
+      batch.removed_edges.push_back(batch.edges[7]);
+      // Drop the removals a definition would reject, so this batch is
+      // accepted: each (edge) may go at most as often as it is held.
+      GraphDelta accepted = batch;
+      accepted.removed_edges.clear();
+      for (const EdgeDelta& r : batch.removed_edges) {
+        accepted.removed_edges.push_back(r);
+        EdgeLists probe = reference;
+        if (!ApplyByDefinition(&probe, accepted).ok()) {
+          accepted.removed_edges.pop_back();
+        }
+      }
+      ASSERT_TRUE(ApplyByDefinition(&reference, accepted).ok());
+      ASSERT_TRUE(net.ApplyDelta(accepted).ok());
+      ASSERT_EQ(EdgesOf(net), reference) << "round " << round;
+    }
+
+    // One removal too many of an edge held twice or more: rejected with
+    // the definition's status, nothing mutated.
+    GraphDelta over;
+    over.nodes.push_back({NodeType::kUser, 1});
+    over.edges.push_back(random_edge(RelationType::kFollow));
+    const EdgeDelta held = over.edges.front();
+    const auto& follows = reference[static_cast<size_t>(RelationType::kFollow)];
+    const size_t copies =
+        1 + static_cast<size_t>(std::count(follows.begin(), follows.end(),
+                                           std::make_pair(held.src,
+                                                          held.dst)));
+    for (size_t c = 0; c <= copies; ++c) over.removed_edges.push_back(held);
+    EdgeLists probe = reference;
+    const Status expected = ApplyByDefinition(&probe, over);
+    const Status got = net.ApplyDelta(over);
+    EXPECT_EQ(got.code(), StatusCode::kNotFound);
+    EXPECT_EQ(got.ToString(), expected.ToString());
+    EXPECT_EQ(EdgesOf(net), reference);
+    EXPECT_EQ(net.NodeCount(NodeType::kUser), 6u);
+
+    // A removal whose source lies far outside the universe holds no
+    // occurrence: rejected the same way, nothing mutated.
+    GraphDelta outside;
+    outside.edges.push_back(random_edge(RelationType::kWrite));
+    outside.removed_edges.push_back(outside.edges.front());
+    outside.removed_edges.push_back(
+        {RelationType::kWrite, static_cast<NodeId>(0xFFFFFFF0u), 0});
+    probe = reference;
+    const Status expected_outside = ApplyByDefinition(&probe, outside);
+    const Status got_outside = net.ApplyDelta(outside);
+    EXPECT_EQ(got_outside.code(), StatusCode::kNotFound);
+    EXPECT_EQ(got_outside.ToString(), expected_outside.ToString());
+    EXPECT_EQ(EdgesOf(net), reference);
+  }
 }
 
 }  // namespace

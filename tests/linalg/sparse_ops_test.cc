@@ -1,9 +1,13 @@
 #include "src/linalg/sparse_ops.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
+#include "src/obs/metrics.h"
+#include "tests/linalg/csr_bitwise.h"
 
 namespace activeiter {
 namespace {
@@ -66,112 +70,6 @@ std::vector<Triplet> TripletsOf(const SparseMatrix& m) {
     trips.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), v});
   });
   return trips;
-}
-
-/// Rows of `a` with at least one entry in a column of `changed_b_rows`
-/// (rows of the product a·b reached by a change confined to those b rows),
-/// merged with `changed_a_rows`.
-std::vector<uint32_t> ReachedRows(const SparseMatrix& a,
-                                  const std::vector<uint32_t>& changed_a_rows,
-                                  const std::vector<uint32_t>& changed_b_rows) {
-  std::vector<bool> mask(a.cols(), false);
-  for (uint32_t r : changed_b_rows) mask[r] = true;
-  std::vector<bool> out(a.rows(), false);
-  for (uint32_t r : changed_a_rows) out[r] = true;
-  a.ForEach([&](size_t i, size_t j, double) {
-    if (mask[j]) out[i] = true;
-  });
-  std::vector<uint32_t> rows;
-  for (uint32_t i = 0; i < a.rows(); ++i) {
-    if (out[i]) rows.push_back(i);
-  }
-  return rows;
-}
-
-TEST(SpGemmRowUpdateTest, EmptyRowListReturnsBase) {
-  SparseMatrix a = RandomSparse(10, 8, 0.3, 21);
-  SparseMatrix b = RandomSparse(8, 6, 0.3, 22);
-  SparseMatrix base = SpGemm(a, b);
-  ExpectBitwiseEqual(SpGemmRowUpdate(base, a, b, {}), base);
-}
-
-TEST(SpGemmRowUpdateTest, BitwiseMatchesFullProductAfterRowChanges) {
-  SparseMatrix a = RandomSparse(30, 20, 0.2, 23);
-  SparseMatrix b = RandomSparse(20, 25, 0.2, 24);
-  SparseMatrix base = SpGemm(a, b);
-
-  // Mutate a handful of A rows: new entries in rows 3 and 17, all of row 9
-  // rescaled (so entries vanish from the product support too).
-  std::vector<Triplet> trips;
-  for (const Triplet& t : TripletsOf(a)) {
-    if (t.row == 9) continue;
-    trips.push_back(t);
-  }
-  trips.push_back({3, 0, 2.5});
-  trips.push_back({17, 19, -1.0});
-  trips.push_back({9, 4, 0.75});
-  SparseMatrix a2 = SparseMatrix::FromTriplets(30, 20, std::move(trips));
-
-  const std::vector<uint32_t> changed = {3, 9, 17};
-  ExpectBitwiseEqual(SpGemmRowUpdate(base, a2, b, changed), SpGemm(a2, b));
-}
-
-TEST(SpGemmRowUpdateTest, BSideChangesViaReachedRows) {
-  SparseMatrix a = RandomSparse(40, 30, 0.15, 25);
-  SparseMatrix b = RandomSparse(30, 35, 0.15, 26);
-  SparseMatrix base = SpGemm(a, b);
-
-  // Change two rows of B; every A row reading them must be recomputed.
-  std::vector<Triplet> trips = TripletsOf(b);
-  trips.push_back({5, 1, 3.0});
-  trips.push_back({28, 34, -0.5});
-  SparseMatrix b2 = SparseMatrix::FromTriplets(30, 35, std::move(trips));
-
-  std::vector<uint32_t> rows = ReachedRows(a, {}, {5, 28});
-  ExpectBitwiseEqual(SpGemmRowUpdate(base, a, b2, rows), SpGemm(a, b2));
-}
-
-TEST(SpGemmRowUpdateTest, SupersetRowListIsHarmless) {
-  SparseMatrix a = RandomSparse(20, 15, 0.25, 27);
-  SparseMatrix b = RandomSparse(15, 10, 0.25, 28);
-  SparseMatrix base = SpGemm(a, b);
-  std::vector<Triplet> trips = TripletsOf(a);
-  trips.push_back({7, 2, 1.5});
-  SparseMatrix a2 = SparseMatrix::FromTriplets(20, 15, std::move(trips));
-  // Every row listed: degenerates to a full recompute, still bitwise-equal.
-  std::vector<uint32_t> all;
-  for (uint32_t i = 0; i < 20; ++i) all.push_back(i);
-  ExpectBitwiseEqual(SpGemmRowUpdate(base, a2, b, all), SpGemm(a2, b));
-}
-
-TEST(SpGemmRowUpdateTest, GrownUniverseSplicesOverPaddedBase) {
-  // The delta-engine shape: universes grow, the old product is padded, the
-  // new rows (plus any reached old rows) are recomputed.
-  SparseMatrix a = RandomSparse(12, 9, 0.3, 29);
-  SparseMatrix b = RandomSparse(9, 7, 0.3, 30);
-  SparseMatrix base = SpGemm(a, b).PaddedTo(14, 7);
-  std::vector<Triplet> trips = TripletsOf(a);
-  trips.push_back({12, 0, 1.0});
-  trips.push_back({13, 8, 2.0});
-  SparseMatrix a2 = SparseMatrix::FromTriplets(14, 9, std::move(trips));
-  ExpectBitwiseEqual(SpGemmRowUpdate(base, a2, b, {12, 13}), SpGemm(a2, b));
-}
-
-TEST(SpGemmRowUpdateTest, PooledBitwiseMatchesSerial) {
-  ThreadPool pool(4);
-  for (uint64_t seed = 0; seed < 4; ++seed) {
-    SparseMatrix a = RandomSparse(50, 40, 0.1, 31 + seed * 2);
-    SparseMatrix b = RandomSparse(40, 45, 0.1, 32 + seed * 2);
-    SparseMatrix base = SpGemm(a, b);
-    std::vector<Triplet> trips = TripletsOf(a);
-    trips.push_back({static_cast<uint32_t>(seed * 11 % 50), 3, 4.0});
-    SparseMatrix a2 = SparseMatrix::FromTriplets(50, 40, std::move(trips));
-    std::vector<uint32_t> rows = {static_cast<uint32_t>(seed * 11 % 50)};
-    SparseMatrix serial = SpGemmRowUpdate(base, a2, b, rows);
-    SparseMatrix pooled = SpGemmRowUpdate(base, a2, b, rows, &pool);
-    ExpectBitwiseEqual(serial, pooled);
-    ExpectBitwiseEqual(serial, SpGemm(a2, b));
-  }
 }
 
 TEST(TransposeTest, MatchesDense) {
@@ -341,6 +239,354 @@ TEST(FaceSplitHadamardTest, AttributeUniversesBeyondThirtyTwoBits) {
   EXPECT_EQ(out.At(0, 1), 0.0);
   EXPECT_EQ(out.At(1, 0), 0.0);
   ExpectBitwiseEqual(out, b.Reference());
+}
+
+// ---------------------------------------------------------------------------
+// Δ kernels: every one is checked bitwise against the full kernels it
+// stands in for, over seeded integer matrices (the counts they carry).
+// ---------------------------------------------------------------------------
+
+/// now − before by definition: both entry lists summed by FromTriplets,
+/// which drops the zeros.
+SparseMatrix DeltaByDefinition(const SparseMatrix& now,
+                               const SparseMatrix& before) {
+  std::vector<Triplet> trips = TripletsOf(now);
+  before.ForEach([&](size_t i, size_t j, double v) {
+    trips.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), -v});
+  });
+  return SparseMatrix::FromTriplets(now.rows(), now.cols(), std::move(trips));
+}
+
+/// `m` grown to rows×cols by a seeded edit: `edits` stored entries removed,
+/// one whole row emptied, `edits` entries of 1–3 added at random (summing
+/// onto an entry already stored changes its value), plus one in the last
+/// row and one in the last column so the grown universes are used.
+SparseMatrix Edited(const SparseMatrix& m, size_t rows, size_t cols,
+                    size_t edits, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Triplet> trips = TripletsOf(m);
+  for (size_t e = 0; e < edits && !trips.empty(); ++e) {
+    trips.erase(trips.begin() +
+                static_cast<ptrdiff_t>(rng.UniformInt(trips.size())));
+  }
+  if (m.rows() > 0) {
+    const auto emptied = static_cast<uint32_t>(rng.UniformInt(m.rows()));
+    trips.erase(std::remove_if(trips.begin(), trips.end(),
+                               [&](const Triplet& t) {
+                                 return t.row == emptied;
+                               }),
+                trips.end());
+  }
+  auto value = [&] { return static_cast<double>(1 + rng.UniformInt(3)); };
+  for (size_t e = 0; e < edits; ++e) {
+    trips.push_back({static_cast<uint32_t>(rng.UniformInt(rows)),
+                     static_cast<uint32_t>(rng.UniformInt(cols)), value()});
+  }
+  trips.push_back({static_cast<uint32_t>(rows - 1),
+                   static_cast<uint32_t>(rng.UniformInt(cols)), value()});
+  trips.push_back({static_cast<uint32_t>(rng.UniformInt(rows)),
+                   static_cast<uint32_t>(cols - 1), value()});
+  return SparseMatrix::FromTriplets(rows, cols, std::move(trips));
+}
+
+uint64_t DefaultCounterValue(const char* name) {
+  const Counter* c = MetricsRegistry::Default().FindCounter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+TEST(AddDeltaTest, MergesEmptiedNewRowsAndColumns) {
+  // Short rows, and rows of ~40 entries that a Δ entry or two changes.
+  for (size_t per_row : {4u, 60u}) {
+    for (uint64_t seed = 0; seed < 12; ++seed) {
+      SCOPED_TRACE(testing::Message() << per_row << " per row, seed " << seed);
+      const SparseMatrix before =
+          RandomCounts(20, per_row == 4 ? 15 : 80, per_row, 40 + seed);
+      const SparseMatrix now = Edited(before, 24, before.cols() + 3, 6,
+                                      60 + seed);
+      const SparseMatrix delta = DeltaByDefinition(now, before);
+      EXPECT_TRUE(CsrBitwiseEqual(AddDelta(before, delta), now));
+    }
+  }
+  // An empty Δ pads; a Δ over a base with no stored entry is the result.
+  const SparseMatrix before = RandomCounts(9, 7, 3, 3);
+  EXPECT_TRUE(CsrBitwiseEqual(AddDelta(before, SparseMatrix(12, 9)),
+                              before.PaddedTo(12, 9)));
+  const SparseMatrix fresh = RandomCounts(12, 9, 3, 4);
+  EXPECT_TRUE(CsrBitwiseEqual(AddDelta(SparseMatrix(0, 0), fresh), fresh));
+}
+
+TEST(AddDeltaTest, CountsCopiedAndMergedRows) {
+  // 6 rows, a Δ in rows 1 and 4: two merged, four copied unchanged.
+  const SparseMatrix before = SparseMatrix::FromTriplets(
+      6, 3, {{0, 0, 1.0}, {1, 1, 2.0}, {3, 2, 1.0}, {4, 0, 1.0}});
+  const SparseMatrix delta =
+      SparseMatrix::FromTriplets(6, 3, {{1, 1, -2.0}, {4, 2, 3.0}});
+  const uint64_t spliced = DefaultCounterValue("linalg.spgemm.rows_spliced");
+  const uint64_t merged = DefaultCounterValue("linalg.spgemm.rows_recomputed");
+  const SparseMatrix out = AddDelta(before, delta);
+  EXPECT_EQ(DefaultCounterValue("linalg.spgemm.rows_spliced") - spliced, 4u);
+  EXPECT_EQ(DefaultCounterValue("linalg.spgemm.rows_recomputed") - merged,
+            2u);
+  EXPECT_EQ(out.RowNnz(1), 0u);  // emptied: 2 + (−2) is not stored
+  EXPECT_EQ(out.At(4, 2), 3.0);
+}
+
+TEST(AddDeltaDeathTest, RejectsABaseLargerThanItsDelta) {
+  EXPECT_DEATH(AddDelta(SparseMatrix(4, 4), SparseMatrix(3, 4)), "larger");
+}
+
+TEST(RowsDeltaTest, DiffsTheListedRowsOnly) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const SparseMatrix before = Binarize(RandomCounts(16, 12, 3, 70 + seed));
+    const SparseMatrix now =
+        Binarize(Edited(before, 19, 14, 4, 80 + seed));
+    const SparseMatrix exact = DeltaByDefinition(now, before);
+    std::vector<uint32_t> all(now.rows());
+    for (uint32_t i = 0; i < now.rows(); ++i) all[i] = i;
+    EXPECT_TRUE(CsrBitwiseEqual(RowsDelta(now, before, all), exact));
+    // Only the rows the definition says changed, plus one unchanged row
+    // (a duplicate insertion leaves no Δ).
+    std::vector<uint32_t> listed;
+    for (uint32_t i = 0; i < now.rows(); ++i) {
+      if (exact.RowNnz(i) != 0 || i == 2) listed.push_back(i);
+    }
+    EXPECT_TRUE(CsrBitwiseEqual(RowsDelta(now, before, listed), exact));
+  }
+  const SparseMatrix m = RandomCounts(5, 5, 2, 9);
+  EXPECT_EQ(RowsDelta(m, m, {0, 1, 2, 3, 4}).nnz(), 0u);
+}
+
+/// Checks SpGemmDelta's Δ of l·r from l_before·r_before, both as a matrix
+/// and carried onto the old product, against the full products.
+void ExpectProductDelta(const SparseMatrix& l_before,
+                        const SparseMatrix& r_before, const SparseMatrix& l,
+                        const SparseMatrix& r, bool left, bool right) {
+  const SparseMatrix dl = DeltaByDefinition(l, l_before);
+  const SparseMatrix dr = DeltaByDefinition(r, r_before);
+  const SparseMatrix before = SpGemm(l_before, r_before);
+  const SparseMatrix now = SpGemm(l, r);
+  const SparseMatrix delta =
+      SpGemmDelta(l, left ? &dl : nullptr, r, right ? &dr : nullptr);
+  EXPECT_TRUE(CsrBitwiseEqual(delta, DeltaByDefinition(now, before)));
+  EXPECT_TRUE(CsrBitwiseEqual(AddDelta(before, delta), now));
+}
+
+TEST(SpGemmDeltaTest, LeftRightAndBothOverPaddedUniverses) {
+  // Narrow products touch most of a row's columns; wide ones a few of
+  // hundreds.
+  for (size_t width : {16u, 400u}) {
+    for (uint64_t seed = 0; seed < 10; ++seed) {
+      SCOPED_TRACE(testing::Message() << "width " << width << ", seed "
+                                      << seed);
+      const SparseMatrix l_before = RandomCounts(18, 14, 3, 100 + seed);
+      const SparseMatrix r_before = RandomCounts(14, width, 3, 200 + seed);
+      // Grown universes on every side: 18 → 21 rows, 14 → 17 inner, and
+      // 3 more columns.
+      const SparseMatrix l = Edited(l_before, 21, 17, 5, 300 + seed);
+      const SparseMatrix r = Edited(r_before, 17, width + 3, 5, 400 + seed);
+      const SparseMatrix l_padded = l_before.PaddedTo(21, 17);
+      const SparseMatrix r_padded = r_before.PaddedTo(17, width + 3);
+      {
+        SCOPED_TRACE("left only");
+        ExpectProductDelta(l_before, r_before, l, r_padded, true, false);
+      }
+      {
+        SCOPED_TRACE("right only");
+        ExpectProductDelta(l_before, r_before, l_padded, r, false, true);
+      }
+      {
+        SCOPED_TRACE("both");
+        ExpectProductDelta(l_before, r_before, l, r, true, true);
+      }
+    }
+  }
+}
+
+TEST(SpGemmDeltaTest, RemovalsCancelToNoStoredZero) {
+  // Row 0 of L moves its one edge from k = 0 to k = 1, and R's rows 0 and
+  // 1 are equal: the −1·R(0, ·) and +1·R(1, ·) terms cancel exactly, so
+  // row 0 of the Δ stores nothing. Row 1 of L keeps k = 2 while R(2, 3)
+  // goes 1 → 0 and R(2, 0) appears: −1 and +1 entries in ΔR.
+  const SparseMatrix l_before =
+      SparseMatrix::FromTriplets(2, 3, {{0, 0, 1.0}, {1, 2, 1.0}});
+  const SparseMatrix l =
+      SparseMatrix::FromTriplets(2, 3, {{0, 1, 1.0}, {1, 2, 1.0}});
+  const SparseMatrix r_before = SparseMatrix::FromTriplets(
+      3, 4, {{0, 1, 1.0}, {0, 2, 1.0}, {1, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}});
+  const SparseMatrix r = SparseMatrix::FromTriplets(
+      3, 4, {{0, 1, 1.0}, {0, 2, 1.0}, {1, 1, 1.0}, {1, 2, 1.0}, {2, 0, 1.0}});
+  const SparseMatrix dl = DeltaByDefinition(l, l_before);
+  const SparseMatrix dr = DeltaByDefinition(r, r_before);
+  const SparseMatrix delta = SpGemmDelta(l, &dl, r, &dr);
+  EXPECT_EQ(delta.RowNnz(0), 0u);
+  EXPECT_TRUE(CsrBitwiseEqual(
+      delta, DeltaByDefinition(SpGemm(l, r), SpGemm(l_before, r_before))));
+  for (double v : delta.values()) EXPECT_NE(v, 0.0);
+}
+
+TEST(SpGemmDeltaTest, EmptyDeltaGivesAnEmptyDelta) {
+  const SparseMatrix l = RandomCounts(6, 5, 3, 11);
+  const SparseMatrix r = RandomCounts(5, 7, 3, 12);
+  const SparseMatrix none(6, 5);
+  for (const SparseMatrix& delta : {SpGemmDelta(l, nullptr, r, nullptr),
+                                    SpGemmDelta(l, &none, r, nullptr)}) {
+    EXPECT_EQ(delta.rows(), 6u);
+    EXPECT_EQ(delta.cols(), 7u);
+    EXPECT_EQ(delta.nnz(), 0u);
+  }
+}
+
+TEST(HadamardDeltaTest, TwoAndThreeBranchesMatchTheRefold) {
+  // Light edits leave a Δ entry or two per row; heavy ones rewrite whole
+  // rows, so their Δs outnumber what a re-intersection reads.
+  for (size_t edits : {6u, 80u}) {
+    for (size_t k : {2u, 3u}) {
+      for (uint64_t seed = 0; seed < 10; ++seed) {
+        SCOPED_TRACE(testing::Message() << k << " branches, " << edits
+                                        << " edits, seed " << seed);
+        std::vector<SparseMatrix> before, now, deltas;
+        for (size_t b = 0; b < k; ++b) {
+          // Dense enough that the stack keeps entries.
+          before.push_back(RandomCounts(15, 10, 8, 500 + 10 * seed + b));
+          // The last branch is unchanged (padded only) on odd seeds.
+          now.push_back(b + 1 == k && seed % 2 == 1
+                            ? before[b].PaddedTo(18, 12)
+                            : Edited(before[b], 18, 12, edits,
+                                     600 + 10 * seed + b));
+          deltas.push_back(DeltaByDefinition(now[b], before[b]));
+        }
+        auto fold = [](const std::vector<SparseMatrix>& ms) {
+          SparseMatrix acc = Hadamard(ms[0], ms[1]);
+          for (size_t b = 2; b < ms.size(); ++b) acc = Hadamard(acc, ms[b]);
+          return acc;
+        };
+        const SparseMatrix h_before = fold(before);
+        const SparseMatrix h_now = fold(now);
+        std::vector<const SparseMatrix*> branch_ptrs, delta_ptrs;
+        for (size_t b = 0; b < k; ++b) {
+          branch_ptrs.push_back(&now[b]);
+          delta_ptrs.push_back(b + 1 == k && seed % 2 == 1 ? nullptr
+                                                           : &deltas[b]);
+        }
+        // Without the last value every row evaluates its Δ entries; with
+        // it, rows whose Δs outnumber the re-intersection's entries
+        // re-intersect.
+        for (bool with_before : {false, true}) {
+          const SparseMatrix delta = HadamardDelta(
+              with_before ? &h_before : nullptr, branch_ptrs, delta_ptrs);
+          EXPECT_TRUE(
+              CsrBitwiseEqual(delta, DeltaByDefinition(h_now, h_before)));
+          EXPECT_TRUE(CsrBitwiseEqual(AddDelta(h_before, delta), h_now));
+        }
+      }
+    }
+  }
+}
+
+/// FaceSplitHadamardDelta of `before` → `now` (the same number of
+/// branches), carried onto FaceSplitHadamard(before), against
+/// FaceSplitHadamard(now). Factors equal in both are passed no Δ.
+void ExpectFaceSplitDelta(const Branches& before, const Branches& now) {
+  std::vector<SparseMatrix> dx, dy;
+  for (size_t i = 0; i < now.x.size(); ++i) {
+    dx.push_back(DeltaByDefinition(now.x[i], before.x[i]));
+    dy.push_back(DeltaByDefinition(now.y[i], before.y[i]));
+  }
+  std::vector<const SparseMatrix*> dxs, dys;
+  for (size_t i = 0; i < now.x.size(); ++i) {
+    dxs.push_back(dx[i].nnz() == 0 ? nullptr : &dx[i]);
+    dys.push_back(dy[i].nnz() == 0 ? nullptr : &dy[i]);
+  }
+  const SparseMatrix m_before = before.FaceSplit();
+  const SparseMatrix m_now = now.FaceSplit();
+  const SparseMatrix delta = FaceSplitHadamardDelta(
+      Branches::Ptrs(now.x), dxs, Branches::Ptrs(now.y), dys);
+  EXPECT_TRUE(CsrBitwiseEqual(delta, DeltaByDefinition(m_now, m_before)));
+  EXPECT_TRUE(CsrBitwiseEqual(AddDelta(m_before, delta), m_now));
+}
+
+TEST(FaceSplitHadamardDeltaTest, MatchesFaceSplitBeforeAndAfter) {
+  for (size_t k : {1u, 2u, 3u}) {
+    for (uint64_t seed = 0; seed < 10; ++seed) {
+      SCOPED_TRACE(testing::Message() << k << " branches, seed " << seed);
+      std::vector<size_t> attrs = {6, 5, 4};
+      attrs.resize(k);
+      const Branches before =
+          Branches::Random(30, 25, attrs, 2, 700 + 10 * seed);
+      // Posts grow and change their attributes on the left (seed % 3 != 2)
+      // and on the right (seed % 3 != 1), and the first factor's attribute
+      // universe grows.
+      const bool left = seed % 3 != 2, right = seed % 3 != 1;
+      Branches now;
+      for (size_t i = 0; i < k; ++i) {
+        const size_t universe = attrs[i] + (i == 0 ? 2 : 0);
+        now.x.push_back(left ? Edited(before.x[i], 34, universe, 3,
+                                      800 + 10 * seed + i)
+                             : before.x[i].PaddedTo(30, universe));
+        now.y.push_back(right ? Transpose(Edited(Transpose(before.y[i]), 28,
+                                                 universe, 3,
+                                                 900 + 10 * seed + i))
+                              : before.y[i].PaddedTo(universe, 25));
+      }
+      // Pad `before` to the grown universes: AddDelta takes it as is, but
+      // the Δ definition needs matching shapes.
+      Branches padded;
+      for (size_t i = 0; i < k; ++i) {
+        padded.x.push_back(before.x[i].PaddedTo(now.x[i].rows(),
+                                                now.x[i].cols()));
+        padded.y.push_back(before.y[i].PaddedTo(now.y[i].rows(),
+                                                now.y[i].cols()));
+      }
+      ExpectFaceSplitDelta(padded, now);
+    }
+  }
+}
+
+TEST(FaceSplitHadamardDeltaTest, AttributeUniversesBeyondThirtyTwoBits) {
+  // FaceSplitHadamardTest.AttributeUniversesBeyondThirtyTwoBits's collision,
+  // arriving as a Δ: the left posts 0 and 1 get the tuples (42950, 0) and
+  // (0, 32704), which a 32-bit key t·|L| + l would confuse; the right
+  // posts 0 and 1 hold them already.
+  const size_t kT = 100000, kL = 100000;
+  std::vector<Triplet> y1t = {{0, 42950, 1.0}, {1, 0, 1.0}};
+  std::vector<Triplet> y2t = {{0, 0, 1.0}, {1, 32704, 1.0}};
+  std::vector<Triplet> x1, x2;
+  Rng rng(37);
+  for (uint32_t post = 2; post < 200; ++post) {
+    for (auto* side : {&x1, &x2, &y1t, &y2t}) {
+      const size_t universe = (side == &x1 || side == &y1t) ? kT : kL;
+      for (uint64_t t = rng.UniformInt(3); t > 0; --t) {
+        side->push_back({post,
+                         static_cast<uint32_t>(universe - 1 -
+                                               rng.UniformInt(50)),
+                         static_cast<double>(1 + rng.UniformInt(3))});
+      }
+    }
+  }
+  Branches before;
+  before.x = {SparseMatrix::FromTriplets(200, kT, x1),
+              SparseMatrix::FromTriplets(200, kL, x2)};
+  before.y = {Transpose(SparseMatrix::FromTriplets(200, kT, y1t)),
+              Transpose(SparseMatrix::FromTriplets(200, kL, y2t))};
+  x1.push_back({0, 42950, 1.0});
+  x1.push_back({1, 0, 1.0});
+  x2.push_back({0, 0, 1.0});
+  x2.push_back({1, 32704, 1.0});
+  Branches now;
+  now.x = {SparseMatrix::FromTriplets(200, kT, x1),
+           SparseMatrix::FromTriplets(200, kL, x2)};
+  now.y = before.y;
+  ExpectFaceSplitDelta(before, now);
+  const SparseMatrix dx0 = DeltaByDefinition(now.x[0], before.x[0]);
+  const SparseMatrix dx1 = DeltaByDefinition(now.x[1], before.x[1]);
+  const SparseMatrix delta =
+      FaceSplitHadamardDelta(Branches::Ptrs(now.x), {&dx0, &dx1},
+                             Branches::Ptrs(now.y), {nullptr, nullptr});
+  EXPECT_EQ(delta.At(0, 0), 1.0);
+  EXPECT_EQ(delta.At(1, 1), 1.0);
+  EXPECT_EQ(delta.At(0, 1), 0.0);
+  EXPECT_EQ(delta.At(1, 0), 0.0);
 }
 
 TEST(AddTest, MatchesDense) {

@@ -214,40 +214,6 @@ TEST(DeltaFeatureTest, GrowThenGrowStreamBitwiseAtEveryEpoch) {
   EXPECT_GT(extractor.stats().diagrams_row_updated, 0u);
 }
 
-// Fallback-threshold boundary: 0 disables splicing outright (every dirty
-// intermediate drops and recomputes), 1.0 splices whenever a base exists.
-// Both ends must stay bitwise-equal to the full rebuild.
-TEST(DeltaFeatureTest, SplicingThresholdBoundaries) {
-  for (double threshold : {0.0, 1.0}) {
-    AlignedPair pair = TinyPair(13);
-    std::vector<AnchorLink> train = TrainAnchors(pair, 10);
-    CandidateLinkSet candidates = SomeCandidates(pair, 25, 14);
-    FeatureExtractorOptions options;
-    options.spgemm_row_update_max_fraction = threshold;
-    DeltaFeatureExtractor extractor(pair, train, options);
-    extractor.Extract(candidates);
-
-    PairDelta delta;
-    delta.first.edges.push_back({RelationType::kFollow, 0, 2});
-    delta.second.edges.push_back({RelationType::kFollow, 3, 1});
-    ASSERT_TRUE(pair.ApplyDelta(delta).ok());
-    extractor.NoteDelta(delta);
-
-    Matrix streamed = extractor.Extract(candidates);
-    FeatureExtractor batch_extractor(pair, train);
-    ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
-
-    const DeltaFeatureExtractor::RefreshStats& stats = extractor.stats();
-    if (threshold == 0.0) {
-      EXPECT_EQ(stats.intermediates_row_updated, 0u);
-      EXPECT_EQ(stats.diagrams_row_updated, 0u);
-      EXPECT_GT(stats.intermediates_dropped, 0u);
-    } else {
-      EXPECT_GT(stats.intermediates_row_updated, 0u);
-    }
-  }
-}
-
 // Shrinking deltas ride the same splice path as growth: a removed edge is
 // just a changed row, so streamed extraction after edge removals (and a
 // remove-then-re-add round trip) must stay bitwise-equal to the rebuild.
@@ -416,8 +382,7 @@ TEST(ProximityTablesTest, GatherMatchesPerPairScoresCompressed) {
     std::vector<std::shared_ptr<const ProximityScores>> scores;
     for (int k = 0; k < 5; ++k) {
       scores.push_back(std::make_shared<const ProximityScores>(
-          ProximityScores(RandomCounts(kUsers1, kUsers2, rng))
-              .PaddedTo(kPadded1, kPadded2)));
+          RandomCounts(kUsers1, kUsers2, rng).PaddedTo(kPadded1, kPadded2)));
     }
     const ProximityTables tables(scores, kPadded1, kPadded2);
 
@@ -464,6 +429,143 @@ TEST(ProximityTablesDeathTest, GatherRejectsTombstones) {
   candidates.Add(2, 3);
   ASSERT_TRUE(candidates.Remove(0).ok());
   EXPECT_DEATH(tables.Gather(candidates), "compacted");
+}
+
+/// Every table of `tables` bitwise a fresh engine's over the same pair:
+/// the count matrices (row pointers, columns, value bits) and the X their
+/// Dice values gather for `candidates`, which also checks the carried row
+/// and column sums.
+void ExpectTablesMatchFresh(const ProximityTables& tables,
+                            const AlignedPair& pair,
+                            const std::vector<AnchorLink>& train,
+                            const CandidateLinkSet& candidates,
+                            const std::string& what) {
+  DeltaFeatureExtractor fresh(pair, train);
+  fresh.Refresh();
+  const auto expected = fresh.tables();
+  ASSERT_EQ(tables.dimension(), expected->dimension()) << what;
+  for (size_t k = 0; k + 1 < tables.dimension(); ++k) {
+    EXPECT_TRUE(
+        CsrBitwiseEqual(tables.table(k).counts(), expected->table(k).counts()))
+        << what << ", column " << k;
+  }
+  EXPECT_TRUE(CsrBitwiseEqual(tables.Gather(candidates),
+                              expected->Gather(candidates)))
+      << what;
+}
+
+/// A tiny grow-shrink-grow stream: each growth wave is followed by a batch
+/// withdrawing 30% of it, and the last batch re-adds everything withdrawn.
+Result<DeltaStream> ChurnStream(uint64_t seed) {
+  auto full = AlignedNetworkGenerator(TinyPreset(seed)).Generate();
+  EXPECT_TRUE(full.ok());
+  DeltaStreamOptions carve;
+  carve.num_batches = 8;
+  carve.np_ratio = 4.0;
+  carve.churn_fraction = 0.3;
+  carve.seed = seed + 1;
+  return CarveDeltaStream(full.value(), carve);
+}
+
+size_t EdgeChanges(const PairDelta& delta) {
+  return delta.first.edges.size() + delta.first.removed_edges.size() +
+         delta.second.edges.size() + delta.second.removed_edges.size();
+}
+
+// The churn stream's final batch re-adds every withdrawn edge at once, the
+// largest Δ any batch carries: every epoch, that one included, carries
+// each table forward bitwise, and none re-runs a diagram in full.
+TEST(DeltaFeatureTest, ChurnReAddBatchCarriedBitwiseAtEveryEpoch) {
+  for (uint64_t seed : {31u, 37u}) {
+    auto stream = ChurnStream(seed);
+    ASSERT_TRUE(stream.ok());
+    const std::vector<ServeDelta>& batches = stream.value().batches;
+    size_t largest = 0;
+    for (const ServeDelta& batch : batches) {
+      largest = std::max(largest, EdgeChanges(batch.graph));
+    }
+    ASSERT_EQ(EdgeChanges(batches.back().graph), largest);
+    ASSERT_TRUE(batches.back().graph.first.removed_edges.empty());
+
+    AlignedPair& pair = stream.value().initial;
+    const std::vector<AnchorLink>& train = stream.value().train_anchors;
+    CandidateLinkSet candidates = stream.value().initial_candidates;
+    DeltaFeatureExtractor extractor(pair, train);
+    extractor.Refresh();
+    for (size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE(pair.ApplyDelta(batches[b].graph).ok());
+      extractor.NoteDelta(batches[b].graph);
+      for (const auto& [u1, u2] : batches[b].new_candidates) {
+        candidates.Add(u1, u2);
+      }
+      extractor.Refresh();
+      ExpectTablesMatchFresh(*extractor.tables(), pair, train, candidates,
+                             "seed " + std::to_string(seed) + ", batch " +
+                                 std::to_string(b));
+    }
+    EXPECT_EQ(extractor.stats().diagrams_recomputed,
+              extractor.feature_names().size());
+  }
+}
+
+// A drain that coalesces a backlog notes eight batches before one
+// Refresh: the Δs then span all eight.
+TEST(DeltaFeatureTest, CoalescedBacklogOfEightBatchesBitwise) {
+  auto full = AlignedNetworkGenerator(TinyPreset(41)).Generate();
+  ASSERT_TRUE(full.ok());
+  DeltaStreamOptions carve;
+  carve.num_batches = 24;
+  carve.np_ratio = 4.0;
+  carve.seed = 43;
+  auto stream = CarveDeltaStream(full.value(), carve);
+  ASSERT_TRUE(stream.ok());
+  AlignedPair& pair = stream.value().initial;
+  const std::vector<AnchorLink>& train = stream.value().train_anchors;
+  CandidateLinkSet candidates = stream.value().initial_candidates;
+  DeltaFeatureExtractor extractor(pair, train);
+  extractor.Refresh();
+  const std::vector<ServeDelta>& batches = stream.value().batches;
+  for (size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_TRUE(pair.ApplyDelta(batches[b].graph).ok());
+    extractor.NoteDelta(batches[b].graph);
+    for (const auto& [u1, u2] : batches[b].new_candidates) {
+      candidates.Add(u1, u2);
+    }
+    if (b % 8 != 7) continue;
+    extractor.Refresh();
+    ExpectTablesMatchFresh(*extractor.tables(), pair, train, candidates,
+                           "backlog ending at batch " + std::to_string(b));
+  }
+  EXPECT_EQ(extractor.stats().refreshes, 4u);
+}
+
+// On a growth stream every refresh after the first carries all its dirty
+// diagrams by their Δs: none is recomputed.
+TEST(DeltaFeatureTest, GrowthStreamRecomputesNothingAfterEpochZero) {
+  auto full = AlignedNetworkGenerator(TinyPreset(47)).Generate();
+  ASSERT_TRUE(full.ok());
+  DeltaStreamOptions carve;
+  carve.num_batches = 12;
+  carve.np_ratio = 4.0;
+  carve.seed = 53;
+  auto stream = CarveDeltaStream(full.value(), carve);
+  ASSERT_TRUE(stream.ok());
+  AlignedPair& pair = stream.value().initial;
+  DeltaFeatureExtractor extractor(pair, stream.value().train_anchors);
+  extractor.Refresh();
+  const size_t columns = extractor.feature_names().size();
+  ASSERT_EQ(extractor.stats().diagrams_recomputed, columns);
+  for (const ServeDelta& batch : stream.value().batches) {
+    ASSERT_TRUE(pair.ApplyDelta(batch.graph).ok());
+    extractor.NoteDelta(batch.graph);
+    const std::vector<size_t> dirty = extractor.Refresh();
+    EXPECT_EQ(extractor.stats().diagrams_recomputed, columns);
+    EXPECT_FALSE(dirty.empty());
+  }
+  const DeltaFeatureExtractor::RefreshStats& stats = extractor.stats();
+  EXPECT_EQ(stats.diagrams_row_updated + stats.diagrams_reused,
+            columns * stream.value().batches.size());
+  EXPECT_GT(stats.intermediates_row_updated, 0u);
 }
 
 TEST(DeltaFeatureTest, RefreshWithoutDeltaIsANoOp) {

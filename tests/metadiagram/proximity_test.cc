@@ -1,5 +1,7 @@
 #include "src/metadiagram/proximity.h"
 
+#include <memory>
+
 #include <gtest/gtest.h>
 
 namespace activeiter {
@@ -62,18 +64,43 @@ TEST(ProximityTest, ScoresForCandidates) {
   EXPECT_EQ(scores(2), 1.0);
 }
 
-TEST(ProximityTest, PaddedToPreservesScoresAndCoversNewUsers) {
+TEST(ProximityTest, CarriedForwardPadsAndAddsTheDeltaSums) {
   auto counts = SparseMatrix::FromTriplets(
       2, 2, {{0, 0, 2.0}, {0, 1, 2.0}, {1, 0, 1.0}});
   ProximityScores prox(counts);
-  ProximityScores padded = prox.PaddedTo(4, 5);
+  // No Δ: padded to grown universes, every score kept, new users score 0.
+  ProximityScores padded = prox.CarriedForward(
+      std::make_shared<const SparseMatrix>(counts.PaddedTo(4, 5)), nullptr);
   EXPECT_EQ(padded.Score(0, 0), prox.Score(0, 0));
   EXPECT_EQ(padded.Score(1, 0), prox.Score(1, 0));
-  // New users exist and score zero against everyone.
   EXPECT_EQ(padded.Score(3, 0), 0.0);
   EXPECT_EQ(padded.Score(0, 4), 0.0);
   EXPECT_EQ(padded.counts().rows(), 4u);
   EXPECT_EQ(padded.counts().cols(), 5u);
+  // With a Δ that empties row 1, grows (0, 1) and reaches a new user: the
+  // carried sums are the fresh table's, so every Dice value is too.
+  auto now = SparseMatrix::FromTriplets(
+      4, 5, {{0, 0, 2.0}, {0, 1, 5.0}, {3, 4, 1.0}});
+  auto delta = SparseMatrix::FromTriplets(
+      4, 5, {{0, 1, 3.0}, {1, 0, -1.0}, {3, 4, 1.0}});
+  ProximityScores carried =
+      prox.CarriedForward(std::make_shared<const SparseMatrix>(now), &delta);
+  ProximityScores fresh(now);
+  for (NodeId u1 = 0; u1 < 4; ++u1) {
+    for (NodeId u2 = 0; u2 < 5; ++u2) {
+      EXPECT_EQ(carried.Score(u1, u2), fresh.Score(u1, u2));
+      EXPECT_EQ(carried.DiceOf(u1, u2, 1.0), fresh.DiceOf(u1, u2, 1.0))
+          << u1 << ", " << u2;
+    }
+  }
+}
+
+TEST(ProximityDeathTest, RejectsCountsWithoutAnOwner) {
+  const SparseMatrix counts(2, 2);
+  // The evaluator's non-owning view of a context step.
+  std::shared_ptr<const SparseMatrix> alias(std::shared_ptr<const void>(),
+                                            &counts);
+  EXPECT_DEATH(ProximityScores{alias}, "own their storage");
 }
 
 }  // namespace

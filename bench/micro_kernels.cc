@@ -37,7 +37,6 @@
 #include "src/learn/ridge.h"
 #include "src/linalg/cholesky.h"
 #include "src/linalg/sparse_ops.h"
-#include "src/metadiagram/delta_features.h"
 #include "src/metadiagram/features.h"
 #include "src/serve/delta_stream.h"
 
@@ -199,9 +198,10 @@ BENCHMARK(BM_RidgePrepareOnce)
     ->Unit(benchmark::kMillisecond);
 
 // One "new user follows an old user" delta per iteration, served either by
-// the delta-aware engine (migrate clean intermediates, recompute only
-// follow-reachable products) or by a full from-scratch extraction. Both
-// modes apply the same delta stream, so they walk identical graph states.
+// one extractor carried across epochs (migrate clean intermediates, carry
+// follow-reachable products by their Δs) or by a fresh extractor's epoch 0.
+// Both modes apply the same delta stream, so they walk identical graph
+// states.
 void BM_DeltaFeatureVsFullRebuild(benchmark::State& state) {
   const bool full_rebuild = state.range(0) != 0;
   GeneratorConfig cfg = TinyPreset(9);
@@ -219,7 +219,7 @@ void BM_DeltaFeatureVsFullRebuild(benchmark::State& state) {
     candidates.Add(static_cast<NodeId>(rng.UniformInt(cfg.shared_users)),
                    static_cast<NodeId>(rng.UniformInt(cfg.shared_users)));
   }
-  DeltaFeatureExtractor delta_extractor(pair.value(), train);
+  FeatureExtractor delta_extractor(pair.value(), train);
   delta_extractor.Extract(candidates);  // epoch 0 outside the loop
   for (auto _ : state) {
     PairDelta delta;
@@ -459,9 +459,14 @@ BENCHMARK(BM_FeatureExtraction)->Arg(60)->Arg(200)->Unit(
 // ---------------------------------------------------------------------------
 
 /// Milliseconds for one invocation of `fn`, minimum over `trials` timed
-/// loops of `reps` calls each (min filters scheduler noise).
+/// loops of `reps` calls each (min filters scheduler noise), after one
+/// untimed call, so that a kernel timed first in a fresh process is not
+/// charged for growing the allocator's heap (glibc serves large buffers
+/// from fresh mmap pages until it has freed one that size; pinning its
+/// mmap and trim thresholds closes the same gap).
 template <typename Fn>
 double TimeMs(size_t trials, size_t reps, Fn&& fn) {
+  fn();
   double best = 1e300;
   for (size_t t = 0; t < trials; ++t) {
     Stopwatch watch;
@@ -488,7 +493,7 @@ struct ExtractionRecord {
 /// which computes every diagram, excluded) and leaves the last candidate
 /// set in `candidates`.
 std::vector<double> TimeRefreshes(DeltaStream& stream,
-                                  DeltaFeatureExtractor& extractor,
+                                  FeatureExtractor& extractor,
                                   CandidateLinkSet* candidates) {
   (void)extractor.Refresh();
   std::vector<double> refresh_ms;
@@ -516,10 +521,12 @@ double Median(std::vector<double> values) {
 // refreshed in turn, as FeaturePlane does per batch — and then
 // ProximityTables::Gather from the last refresh's tables over one of two
 // shards' slices of the stream's final candidates (about half), as a
-// serve shard gathers its X every drain. Last, the median Refresh over a
-// stream carved as serve_churn carves it at seed 42 (64 waves, churn 0.3:
-// 129 batches), and the Refresh of its final batch, which re-adds every
-// withdrawn edge at once — the largest delta any workload refreshes.
+// serve shard gathers its X every drain. Last, three passes over a stream
+// carved as serve_churn carves it at seed 42 (64 waves, churn 0.3: 129
+// batches), each with a fresh extractor: the median of all their
+// refreshes, and the median Refresh of its final batch, which re-adds
+// every withdrawn edge at once — the largest delta any workload
+// refreshes.
 ExtractionRecord RecordExtraction() {
   ExtractionRecord rec;
   auto pair = AlignedNetworkGenerator(FoursquareTwitterPreset(42)).Generate();
@@ -540,8 +547,8 @@ ExtractionRecord RecordExtraction() {
   carve.num_batches = 128;
   carve.np_ratio = 40.0;
   auto stream = CarveDeltaStream(pair.value(), carve);
-  DeltaFeatureExtractor extractor(stream.value().initial,
-                                  stream.value().train_anchors);
+  FeatureExtractor extractor(stream.value().initial,
+                             stream.value().train_anchors);
   CandidateLinkSet candidates = stream.value().initial_candidates;
   const std::vector<double> refresh_ms =
       TimeRefreshes(stream.value(), extractor, &candidates);
@@ -563,15 +570,22 @@ ExtractionRecord RecordExtraction() {
   churn.np_ratio = 40.0;
   churn.churn_fraction = 0.3;
   churn.seed = 42 ^ 0xCA4EULL;
-  auto churn_stream = CarveDeltaStream(pair.value(), churn);
-  DeltaFeatureExtractor churn_extractor(churn_stream.value().initial,
-                                        churn_stream.value().train_anchors);
-  CandidateLinkSet churn_candidates = churn_stream.value().initial_candidates;
-  const std::vector<double> churn_ms =
-      TimeRefreshes(churn_stream.value(), churn_extractor, &churn_candidates);
-  rec.churn_batches = churn_ms.size();
+  constexpr size_t kChurnPasses = 3;
+  std::vector<double> churn_ms, readd_ms;
+  for (size_t pass = 0; pass < kChurnPasses; ++pass) {
+    auto churn_stream = CarveDeltaStream(pair.value(), churn);
+    FeatureExtractor churn_extractor(churn_stream.value().initial,
+                                     churn_stream.value().train_anchors);
+    CandidateLinkSet churn_candidates =
+        churn_stream.value().initial_candidates;
+    const std::vector<double> pass_ms = TimeRefreshes(
+        churn_stream.value(), churn_extractor, &churn_candidates);
+    churn_ms.insert(churn_ms.end(), pass_ms.begin(), pass_ms.end());
+    readd_ms.push_back(pass_ms.back());
+  }
+  rec.churn_batches = churn_ms.size() / kChurnPasses;
   rec.churn_refresh_p50_ms = Median(churn_ms);
-  rec.readd_refresh_ms = churn_ms.back();
+  rec.readd_refresh_ms = Median(readd_ms);
   return rec;
 }
 

@@ -42,15 +42,15 @@ int main(int argc, char** argv) {
   // 2. Feature breakdown for a true anchor vs an impostor.
   std::vector<AnchorLink> train(pair.anchors().begin(),
                                 pair.anchors().begin() + 15);
-  FeatureExtractor extractor(pair, train);
   const AnchorLink& target = pair.anchors()[20];  // unseen true anchor
   const AnchorLink& other = pair.anchors()[25];
   NodeId impostor = other.u2;
 
-  std::vector<double> true_features =
-      extractor.ExtractOne(target.u1, target.u2);
-  std::vector<double> false_features =
-      extractor.ExtractOne(target.u1, impostor);
+  // Row 0 of X is the true pair, row 1 the impostor.
+  CandidateLinkSet links;
+  links.Add(target.u1, target.u2);
+  links.Add(target.u1, impostor);
+  const Matrix x = FeatureExtractor(pair, train).Extract(links);
 
   std::cout << "\nPer-diagram proximity: user " << target.u1
             << " (network 1) vs its true partner " << target.u2
@@ -59,14 +59,16 @@ int main(int argc, char** argv) {
   features.SetHeader({"diagram", "true pair", "impostor", "verdict"});
   double true_total = 0.0, false_total = 0.0;
   for (size_t k = 0; k < catalog.size(); ++k) {
-    true_total += true_features[k];
-    false_total += false_features[k];
-    if (true_features[k] == 0.0 && false_features[k] == 0.0) continue;
-    features.AddRow({catalog[k].id(), FormatDouble(true_features[k], 4),
-                     FormatDouble(false_features[k], 4),
-                     true_features[k] > false_features[k]   ? "true pair"
-                     : true_features[k] < false_features[k] ? "impostor"
-                                                            : "tie"});
+    const double true_feature = x(0, k);
+    const double false_feature = x(1, k);
+    true_total += true_feature;
+    false_total += false_feature;
+    if (true_feature == 0.0 && false_feature == 0.0) continue;
+    features.AddRow({catalog[k].id(), FormatDouble(true_feature, 4),
+                     FormatDouble(false_feature, 4),
+                     true_feature > false_feature   ? "true pair"
+                     : true_feature < false_feature ? "impostor"
+                                                    : "tie"});
   }
   features.Print(std::cout);
   std::cout << "total feature mass: true pair " << FormatDouble(true_total, 4)

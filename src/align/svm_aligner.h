@@ -1,8 +1,8 @@
 // SVM baselines (SVM-MP and SVM-MPMD): a classic supervised classifier
 // trained on the labeled fold, predicting each test link independently —
 // no PU learning, no cardinality constraint, no queries. Feature choice
-// (meta paths only vs meta paths + diagrams) is the caller's, via the
-// FeatureExtractor it uses to build the datasets.
+// (meta paths only vs meta paths + diagrams) is the caller's: the
+// FeatureSet of the X it builds the datasets from (FoldRunner::FeaturesFor).
 
 #ifndef ACTIVEITER_ALIGN_SVM_ALIGNER_H_
 #define ACTIVEITER_ALIGN_SVM_ALIGNER_H_

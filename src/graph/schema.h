@@ -21,8 +21,7 @@ class NetworkSchema {
   /// Timestamp with follow/write/at/checkin/contain).
   static NetworkSchema SocialNetwork();
 
-  /// A schema restricted to users and follow links (used by tests and the
-  /// IsoRank baseline, which ignores attributes).
+  /// A schema restricted to users and follow links (used by tests).
   static NetworkSchema UsersOnly();
 
   bool HasNodeType(NodeType type) const;

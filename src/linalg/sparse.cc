@@ -166,18 +166,4 @@ SparseMatrix SparseMatrix::PaddedTo(size_t rows, size_t cols) const {
   return out;
 }
 
-SparseBuilder::SparseBuilder(size_t rows, size_t cols)
-    : rows_(rows), cols_(cols) {}
-
-void SparseBuilder::Add(size_t row, size_t col, double value) {
-  ACTIVEITER_CHECK(row < rows_ && col < cols_);
-  if (value == 0.0) return;
-  triplets_.push_back(
-      {static_cast<uint32_t>(row), static_cast<uint32_t>(col), value});
-}
-
-SparseMatrix SparseBuilder::Build() {
-  return SparseMatrix::FromTriplets(rows_, cols_, std::move(triplets_));
-}
-
 }  // namespace activeiter

@@ -121,30 +121,11 @@ class SparseMatrix {
   SparseMatrix PaddedTo(size_t rows, size_t cols) const;
 
  private:
-  friend class SparseBuilder;
-
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<size_t> row_ptr_{0};
   std::vector<uint32_t> col_idx_;
   std::vector<double> values_;
-};
-
-/// Incremental row-wise builder used by SpGEMM and the graph code.
-class SparseBuilder {
- public:
-  SparseBuilder(size_t rows, size_t cols);
-
-  /// Adds `value` at (row, col); duplicates accumulate.
-  void Add(size_t row, size_t col, double value);
-
-  /// Finalises into CSR (sorts, merges duplicates, drops zeros).
-  SparseMatrix Build();
-
- private:
-  size_t rows_;
-  size_t cols_;
-  std::vector<Triplet> triplets_;
 };
 
 }  // namespace activeiter

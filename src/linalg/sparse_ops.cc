@@ -946,30 +946,6 @@ SparseMatrix FaceSplitHadamardDelta(
                                         std::move(values));
 }
 
-SparseMatrix Add(const SparseMatrix& a, const SparseMatrix& b) {
-  ACTIVEITER_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
-                       "Add shape mismatch");
-  std::vector<Triplet> trips;
-  trips.reserve(a.nnz() + b.nnz());
-  a.ForEach([&](size_t i, size_t j, double v) {
-    trips.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), v});
-  });
-  b.ForEach([&](size_t i, size_t j, double v) {
-    trips.push_back({static_cast<uint32_t>(i), static_cast<uint32_t>(j), v});
-  });
-  return SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(trips));
-}
-
-SparseMatrix Scale(const SparseMatrix& a, double alpha) {
-  std::vector<Triplet> trips;
-  trips.reserve(a.nnz());
-  a.ForEach([&](size_t i, size_t j, double v) {
-    trips.push_back(
-        {static_cast<uint32_t>(i), static_cast<uint32_t>(j), v * alpha});
-  });
-  return SparseMatrix::FromTriplets(a.rows(), a.cols(), std::move(trips));
-}
-
 Vector SpMv(const SparseMatrix& a, const Vector& x) {
   ACTIVEITER_CHECK_MSG(a.cols() == x.size(), "SpMv shape mismatch");
   Vector y(a.rows());
@@ -982,11 +958,6 @@ SparseMatrix Binarize(const SparseMatrix& a) {
   return SparseMatrix::FromCsrUnchecked(a.rows(), a.cols(), a.row_ptr(),
                                         a.col_idx(),
                                         std::vector<double>(a.nnz(), 1.0));
-}
-
-SparseMatrix MaskBySupport(const SparseMatrix& a,
-                           const SparseMatrix& support) {
-  return Hadamard(a, Binarize(support));
 }
 
 }  // namespace activeiter

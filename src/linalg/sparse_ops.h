@@ -1,4 +1,4 @@
-// Sparse kernels: SpGEMM, transpose, Hadamard product, scaling, SpMV.
+// Sparse kernels: SpGEMM, transpose, Hadamard product, SpMV.
 //
 // These are the workhorses of meta-path/meta-diagram counting:
 //   * chain products  (SpGemm)        — concatenating path segments,
@@ -56,13 +56,13 @@ SparseMatrix FaceSplitHadamard(const std::vector<const SparseMatrix*>& xs,
                                const std::vector<const SparseMatrix*>& ys,
                                ThreadPool* pool = nullptr);
 
-// Δ kernels: the delta-aware feature engine (delta_features.h) carries
-// each cached count matrix P from one epoch to the next as P + ΔP, where
-// ΔP = P_now − P_prev is a signed CSR matrix of P's current shape with its
-// zeros dropped. Counts and their changes are integers below 2⁵³, so every
-// sum below is exact in any order, and last epoch's product plus its exact
-// change is bitwise the product recomputed in full (same values, no stored
-// zeros). Nothing here is pooled: the engine refreshes on one thread.
+// Δ kernels: the feature extractor (features.h) carries each cached count
+// matrix P from one epoch to the next as P + ΔP, where ΔP = P_now − P_prev
+// is a signed CSR matrix of P's current shape with its zeros dropped.
+// Counts and their changes are integers below 2⁵³, so every sum below is
+// exact in any order, and last epoch's product plus its exact change is
+// bitwise the product recomputed in full (same values, no stored zeros).
+// Nothing here is pooled: the engine refreshes on one thread.
 
 /// base + delta, with `base` padded to delta's shape (its missing rows and
 /// columns are empty) and zeros dropped. Rows where `delta` stores nothing
@@ -114,22 +114,12 @@ SparseMatrix FaceSplitHadamardDelta(
     const std::vector<const SparseMatrix*>& ys,
     const std::vector<const SparseMatrix*>& dys);
 
-/// A + B; shapes must match (checked).
-SparseMatrix Add(const SparseMatrix& a, const SparseMatrix& b);
-
-/// alpha · A.
-SparseMatrix Scale(const SparseMatrix& a, double alpha);
-
 /// y = A · x (dense result).
 Vector SpMv(const SparseMatrix& a, const Vector& x);
 
 /// Replaces every stored value with 1.0 (structure/support matrix): the
 /// stored entries of `a`, an explicitly stored zero included, in O(nnz).
 SparseMatrix Binarize(const SparseMatrix& a);
-
-/// Keeps entry (i,j) of `a` only where `support` stores a nonzero.
-/// This is the Lemma-2 covering-set pruning primitive.
-SparseMatrix MaskBySupport(const SparseMatrix& a, const SparseMatrix& support);
 
 }  // namespace activeiter
 

@@ -30,7 +30,7 @@
 
 #include "src/common/status.h"
 #include "src/graph/aligned_pair.h"
-#include "src/metadiagram/delta_features.h"
+#include "src/metadiagram/features.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -75,7 +75,7 @@ class FeaturePlane {
  private:
   AlignedPair pair_;
   std::vector<AnchorLink> train_anchors_;
-  DeltaFeatureExtractor extractor_;
+  FeatureExtractor extractor_;
   ObsSinks obs_;
 };
 

@@ -200,5 +200,74 @@ TEST(PresetsTest, FoursquareTwitterAsymmetry) {
             2 * pair.value().second().NodeCount(NodeType::kPost));
 }
 
+TEST(MultiNetworkGenerationTest, ThreeSidesShareUsers) {
+  GeneratorConfig cfg = TinyPreset(31);
+  auto multi = AlignedNetworkGenerator(cfg).GenerateMany(3);
+  ASSERT_TRUE(multi.ok()) << multi.status();
+  const MultiAlignedNetworks& m = multi.value();
+  EXPECT_EQ(m.side_count(), 3u);
+  EXPECT_EQ(m.shared_user_count(), cfg.shared_users);
+  // Sides alternate first/second extra-user counts.
+  EXPECT_EQ(m.networks[0].NodeCount(NodeType::kUser),
+            cfg.shared_users + cfg.first.extra_users);
+  EXPECT_EQ(m.networks[1].NodeCount(NodeType::kUser),
+            cfg.shared_users + cfg.second.extra_users);
+  EXPECT_EQ(m.networks[2].NodeCount(NodeType::kUser),
+            cfg.shared_users + cfg.first.extra_users);
+}
+
+TEST(MultiNetworkGenerationTest, PairwiseAnchorsAreConsistent) {
+  auto multi = AlignedNetworkGenerator(TinyPreset(32)).GenerateMany(3);
+  ASSERT_TRUE(multi.ok());
+  auto a01 = multi.value().AnchorsBetween(0, 1);
+  auto a12 = multi.value().AnchorsBetween(1, 2);
+  auto a02 = multi.value().AnchorsBetween(0, 2);
+  ASSERT_TRUE(a01.ok() && a12.ok() && a02.ok());
+  // Ground truth must be perfectly transitive: shared user k's anchor
+  // between sides 0 and 2 runs through its side-1 account.
+  const size_t shared = multi.value().shared_user_count();
+  ASSERT_EQ(a01.value().size(), shared);
+  ASSERT_EQ(a12.value().size(), shared);
+  ASSERT_EQ(a02.value().size(), shared);
+  for (size_t k = 0; k < shared; ++k) {
+    EXPECT_EQ(a01.value()[k].u2, a12.value()[k].u1) << "shared user " << k;
+    EXPECT_EQ(a02.value()[k],
+              (AnchorLink{a01.value()[k].u1, a12.value()[k].u2}))
+        << "shared user " << k;
+  }
+}
+
+TEST(MultiNetworkGenerationTest, MakePairBuildsValidAlignedPair) {
+  auto multi = AlignedNetworkGenerator(TinyPreset(33)).GenerateMany(4);
+  ASSERT_TRUE(multi.ok());
+  auto pair = multi.value().MakePair(1, 3);
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  EXPECT_EQ(pair.value().anchor_count(),
+            multi.value().shared_user_count());
+  EXPECT_TRUE(pair.value().ValidateSharedAttributes().ok());
+}
+
+TEST(MultiNetworkGenerationTest, RejectsBadArguments) {
+  auto multi = AlignedNetworkGenerator(TinyPreset(34)).GenerateMany(1);
+  EXPECT_FALSE(multi.ok());
+  auto ok = AlignedNetworkGenerator(TinyPreset(34)).GenerateMany(2);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_FALSE(ok.value().MakePair(0, 0).ok());
+  EXPECT_FALSE(ok.value().MakePair(0, 5).ok());
+}
+
+TEST(MultiNetworkGenerationTest, TwoSidedMatchesGenerate) {
+  GeneratorConfig cfg = TinyPreset(35);
+  auto pair = AlignedNetworkGenerator(cfg).Generate();
+  auto multi = AlignedNetworkGenerator(cfg).GenerateMany(2);
+  ASSERT_TRUE(pair.ok() && multi.ok());
+  auto pair2 = multi.value().MakePair(0, 1);
+  ASSERT_TRUE(pair2.ok());
+  EXPECT_EQ(pair.value().anchors(), pair2.value().anchors());
+  EXPECT_TRUE(
+      pair.value().first().AdjacencyMatrix(RelationType::kFollow).Equals(
+          pair2.value().first().AdjacencyMatrix(RelationType::kFollow)));
+}
+
 }  // namespace
 }  // namespace activeiter

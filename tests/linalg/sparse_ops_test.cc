@@ -589,21 +589,6 @@ TEST(FaceSplitHadamardDeltaTest, AttributeUniversesBeyondThirtyTwoBits) {
   EXPECT_EQ(delta.At(1, 0), 0.0);
 }
 
-TEST(AddTest, MatchesDense) {
-  SparseMatrix a = RandomSparse(4, 4, 0.4, 9);
-  SparseMatrix b = RandomSparse(4, 4, 0.4, 10);
-  EXPECT_LT(Matrix::MaxAbsDiff(Add(a, b).ToDense(),
-                               a.ToDense() + b.ToDense()),
-            1e-12);
-}
-
-TEST(ScaleTest, MultipliesValues) {
-  auto a = SparseMatrix::FromTriplets(1, 2, {{0, 0, 2.0}, {0, 1, -3.0}});
-  SparseMatrix s = Scale(a, -2.0);
-  EXPECT_EQ(s.At(0, 0), -4.0);
-  EXPECT_EQ(s.At(0, 1), 6.0);
-}
-
 TEST(SpMvTest, MatchesDense) {
   SparseMatrix a = RandomSparse(6, 4, 0.5, 11);
   Vector x = {1.0, -1.0, 2.0, 0.5};
@@ -653,15 +638,6 @@ TEST(BinarizeTest, ExplicitlyStoredZeroBecomesOne) {
   SparseMatrix b = Binarize(a);
   EXPECT_EQ(b.nnz(), 3u);
   EXPECT_EQ(b.At(0, 1), 1.0);
-}
-
-TEST(MaskBySupportTest, KeepsOnlySupportedEntries) {
-  auto a = SparseMatrix::FromTriplets(2, 2,
-                                      {{0, 0, 3.0}, {0, 1, 4.0}, {1, 0, 5.0}});
-  auto support = SparseMatrix::FromTriplets(2, 2, {{0, 1, 9.0}});
-  SparseMatrix masked = MaskBySupport(a, support);
-  EXPECT_EQ(masked.nnz(), 1u);
-  EXPECT_EQ(masked.At(0, 1), 4.0);  // value kept, support value ignored
 }
 
 TEST(SparseOpsDeathTest, ShapeMismatchesDie) {

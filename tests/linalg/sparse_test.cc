@@ -103,16 +103,6 @@ TEST(SparseTest, EqualsToleratesRepresentation) {
   EXPECT_FALSE(a.Equals(c));
 }
 
-TEST(SparseBuilderTest, AccumulatesAndSkipsZeros) {
-  SparseBuilder builder(2, 2);
-  builder.Add(0, 0, 1.0);
-  builder.Add(0, 0, 2.0);
-  builder.Add(1, 1, 0.0);  // ignored
-  SparseMatrix m = builder.Build();
-  EXPECT_EQ(m.nnz(), 1u);
-  EXPECT_EQ(m.At(0, 0), 3.0);
-}
-
 TEST(SparseDeathTest, OutOfBoundsTripletDies) {
   EXPECT_DEATH(SparseMatrix::FromTriplets(1, 1, {{0, 1, 1.0}}), "bounds");
 }

@@ -1,8 +1,9 @@
-// DeltaFeatureExtractor invariants: bitwise equality with a from-scratch
-// FeatureExtractor after every delta, and genuine cross-epoch reuse (clean
-// diagrams never recompute; their intermediates migrate via padding).
+// FeatureExtractor across epochs: after every delta, a carried engine is
+// bitwise equal to a fresh engine's epoch 0 over the same pair, and the
+// reuse is genuine (clean diagrams never recompute; their intermediates
+// migrate via padding).
 
-#include "src/metadiagram/delta_features.h"
+#include "src/metadiagram/features.h"
 
 #include <algorithm>
 #include <cstring>
@@ -58,23 +59,12 @@ void ExpectBitwiseEqual(const Matrix& a, const Matrix& b) {
   EXPECT_EQ(Matrix::MaxAbsDiff(a, b), 0.0);
 }
 
-TEST(DeltaFeatureTest, InitialExtractionMatchesBatchExtractor) {
-  AlignedPair pair = TinyPair();
-  std::vector<AnchorLink> train = TrainAnchors(pair, 10);
-  CandidateLinkSet candidates = SomeCandidates(pair, 40, 3);
-
-  DeltaFeatureExtractor delta_extractor(pair, train);
-  FeatureExtractor batch_extractor(pair, train);
-  ExpectBitwiseEqual(delta_extractor.Extract(candidates),
-                     batch_extractor.Extract(candidates));
-}
-
 TEST(DeltaFeatureTest, DeltaExtractionBitwiseMatchesFullRebuild) {
   AlignedPair pair = TinyPair();
   std::vector<AnchorLink> train = TrainAnchors(pair, 10);
   CandidateLinkSet candidates = SomeCandidates(pair, 40, 4);
 
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   extractor.Extract(candidates);  // epoch 0
 
   // New users on both sides joined by follow edges into the old graph —
@@ -101,13 +91,13 @@ TEST(DeltaFeatureTest, DeltaExtractionBitwiseMatchesFullRebuild) {
   candidates.Add(0, new_u2);
 
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
-  ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
+  FeatureExtractor rebuilt(pair, train);
+  ExpectBitwiseEqual(streamed, rebuilt.Extract(candidates));
 
   // Only follow was touched: the attribute paths, Ψ2 and their shared
   // intermediates must be served from migration; follow chains are either
   // row-spliced in place (delta-bounded incremental SpGEMM) or dropped.
-  const DeltaFeatureExtractor::RefreshStats& stats = extractor.stats();
+  const FeatureExtractor::RefreshStats& stats = extractor.stats();
   EXPECT_EQ(stats.refreshes, 2u);
   EXPECT_GT(stats.diagrams_reused, 0u);
   EXPECT_GT(stats.intermediates_migrated, 0u);
@@ -122,7 +112,7 @@ TEST(DeltaFeatureTest, AttributeOnlyDeltaKeepsSocialDiagramsClean) {
   AlignedPair pair = TinyPair();
   std::vector<AnchorLink> train = TrainAnchors(pair, 10);
   CandidateLinkSet candidates = SomeCandidates(pair, 30, 5);
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   extractor.Extract(candidates);
 
   // Only side-1 checkin changes: every pure-social diagram stays clean.
@@ -145,15 +135,15 @@ TEST(DeltaFeatureTest, AttributeOnlyDeltaKeepsSocialDiagramsClean) {
   }
 
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
-  ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
+  FeatureExtractor rebuilt(pair, train);
+  ExpectBitwiseEqual(streamed, rebuilt.Extract(candidates));
 }
 
 TEST(DeltaFeatureTest, NodeOnlyGrowthDirtiesNothing) {
   AlignedPair pair = TinyPair();
   std::vector<AnchorLink> train = TrainAnchors(pair, 10);
   CandidateLinkSet candidates = SomeCandidates(pair, 25, 6);
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   extractor.Extract(candidates);
 
   PairDelta delta;
@@ -173,8 +163,8 @@ TEST(DeltaFeatureTest, NodeOnlyGrowthDirtiesNothing) {
       static_cast<NodeId>(pair.first().NodeCount(NodeType::kUser) - 1);
   candidates.Add(new_u1, 0);
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
-  ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
+  FeatureExtractor rebuilt(pair, train);
+  ExpectBitwiseEqual(streamed, rebuilt.Extract(candidates));
   for (size_t k = 0; k < extractor.feature_names().size(); ++k) {
     EXPECT_EQ(streamed(candidates.size() - 1, k), 0.0);
   }
@@ -187,7 +177,7 @@ TEST(DeltaFeatureTest, GrowThenGrowStreamBitwiseAtEveryEpoch) {
   AlignedPair pair = TinyPair(11);
   std::vector<AnchorLink> train = TrainAnchors(pair, 10);
   CandidateLinkSet candidates = SomeCandidates(pair, 30, 12);
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   extractor.Extract(candidates);
 
   for (int epoch = 0; epoch < 3; ++epoch) {
@@ -207,8 +197,8 @@ TEST(DeltaFeatureTest, GrowThenGrowStreamBitwiseAtEveryEpoch) {
     candidates.Add(new_u1, static_cast<NodeId>(epoch));
 
     Matrix streamed = extractor.Extract(candidates);
-    FeatureExtractor batch_extractor(pair, train);
-    ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
+    FeatureExtractor rebuilt(pair, train);
+    ExpectBitwiseEqual(streamed, rebuilt.Extract(candidates));
   }
   EXPECT_GT(extractor.stats().intermediates_row_updated, 0u);
   EXPECT_GT(extractor.stats().diagrams_row_updated, 0u);
@@ -221,7 +211,7 @@ TEST(DeltaFeatureTest, RemovedEdgesBitwiseMatchFullRebuild) {
   AlignedPair pair = TinyPair(15);
   std::vector<AnchorLink> train = TrainAnchors(pair, 10);
   CandidateLinkSet candidates = SomeCandidates(pair, 30, 16);
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   extractor.Extract(candidates);
 
   // Remove one existing follow edge per side.
@@ -236,8 +226,8 @@ TEST(DeltaFeatureTest, RemovedEdgesBitwiseMatchFullRebuild) {
   extractor.NoteDelta(shrink);
 
   Matrix streamed = extractor.Extract(candidates);
-  FeatureExtractor batch_extractor(pair, train);
-  ExpectBitwiseEqual(streamed, batch_extractor.Extract(candidates));
+  FeatureExtractor rebuilt(pair, train);
+  ExpectBitwiseEqual(streamed, rebuilt.Extract(candidates));
 
   // Round trip: re-adding the removed edges restores the original
   // features exactly, still through the incremental path.
@@ -276,9 +266,9 @@ uint64_t FeatureFingerprint(const Matrix& x,
   return h;
 }
 
-/// Fingerprint of the DeltaFeatureExtractor's X at every epoch of a carved
-/// stream (epoch 0 included), over every candidate revealed so far; each
-/// epoch is also checked against a fresh FeatureExtractor.
+/// Fingerprint of a carried FeatureExtractor's X at every epoch of a
+/// carved stream (epoch 0 included), over every candidate revealed so far;
+/// each epoch is also checked against a fresh extractor's epoch 0.
 uint64_t StreamFingerprint(double churn_fraction) {
   auto full = AlignedNetworkGenerator(TinyPreset(19)).Generate();
   EXPECT_TRUE(full.ok());
@@ -292,7 +282,7 @@ uint64_t StreamFingerprint(double churn_fraction) {
   AlignedPair& pair = stream.value().initial;
   const std::vector<AnchorLink>& train = stream.value().train_anchors;
   CandidateLinkSet candidates = stream.value().initial_candidates;
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   uint64_t h = FeatureFingerprint(extractor.Extract(candidates));
   for (const ServeDelta& batch : stream.value().batches) {
     EXPECT_TRUE(pair.ApplyDelta(batch.graph).ok());
@@ -306,11 +296,11 @@ uint64_t StreamFingerprint(double churn_fraction) {
 }
 
 TEST(DeltaFeatureTest, GoldenFeatureFingerprints) {
-  // Pins X end to end: one fixed fold through FeatureExtractor (with and
-  // without the word path), and the delta-aware engine at every epoch of a
-  // grow stream and a grow-shrink-grow stream. Any change to the catalog,
-  // the evaluator, the kernels or the splice path that moves one bit of X
-  // changes these constants.
+  // Pins X end to end: one fixed fold through a fresh FeatureExtractor
+  // (with and without the word path), and a carried one at every epoch of
+  // a grow stream and a grow-shrink-grow stream. Any change to the
+  // catalog, the evaluator, the kernels, the gather or the Δ path that
+  // moves one bit of X changes these constants.
   auto pair = AlignedNetworkGenerator(TinyPreset(17)).Generate();
   ASSERT_TRUE(pair.ok());
   ProtocolConfig config;
@@ -440,7 +430,7 @@ void ExpectTablesMatchFresh(const ProximityTables& tables,
                             const std::vector<AnchorLink>& train,
                             const CandidateLinkSet& candidates,
                             const std::string& what) {
-  DeltaFeatureExtractor fresh(pair, train);
+  FeatureExtractor fresh(pair, train);
   fresh.Refresh();
   const auto expected = fresh.tables();
   ASSERT_EQ(tables.dimension(), expected->dimension()) << what;
@@ -490,7 +480,7 @@ TEST(DeltaFeatureTest, ChurnReAddBatchCarriedBitwiseAtEveryEpoch) {
     AlignedPair& pair = stream.value().initial;
     const std::vector<AnchorLink>& train = stream.value().train_anchors;
     CandidateLinkSet candidates = stream.value().initial_candidates;
-    DeltaFeatureExtractor extractor(pair, train);
+    FeatureExtractor extractor(pair, train);
     extractor.Refresh();
     for (size_t b = 0; b < batches.size(); ++b) {
       ASSERT_TRUE(pair.ApplyDelta(batches[b].graph).ok());
@@ -522,7 +512,7 @@ TEST(DeltaFeatureTest, CoalescedBacklogOfEightBatchesBitwise) {
   AlignedPair& pair = stream.value().initial;
   const std::vector<AnchorLink>& train = stream.value().train_anchors;
   CandidateLinkSet candidates = stream.value().initial_candidates;
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   extractor.Refresh();
   const std::vector<ServeDelta>& batches = stream.value().batches;
   for (size_t b = 0; b < batches.size(); ++b) {
@@ -551,7 +541,7 @@ TEST(DeltaFeatureTest, GrowthStreamRecomputesNothingAfterEpochZero) {
   auto stream = CarveDeltaStream(full.value(), carve);
   ASSERT_TRUE(stream.ok());
   AlignedPair& pair = stream.value().initial;
-  DeltaFeatureExtractor extractor(pair, stream.value().train_anchors);
+  FeatureExtractor extractor(pair, stream.value().train_anchors);
   extractor.Refresh();
   const size_t columns = extractor.feature_names().size();
   ASSERT_EQ(extractor.stats().diagrams_recomputed, columns);
@@ -562,7 +552,7 @@ TEST(DeltaFeatureTest, GrowthStreamRecomputesNothingAfterEpochZero) {
     EXPECT_EQ(extractor.stats().diagrams_recomputed, columns);
     EXPECT_FALSE(dirty.empty());
   }
-  const DeltaFeatureExtractor::RefreshStats& stats = extractor.stats();
+  const FeatureExtractor::RefreshStats& stats = extractor.stats();
   EXPECT_EQ(stats.diagrams_row_updated + stats.diagrams_reused,
             columns * stream.value().batches.size());
   EXPECT_GT(stats.intermediates_row_updated, 0u);
@@ -572,7 +562,7 @@ TEST(DeltaFeatureTest, RefreshWithoutDeltaIsANoOp) {
   AlignedPair pair = TinyPair();
   std::vector<AnchorLink> train = TrainAnchors(pair, 10);
   CandidateLinkSet candidates = SomeCandidates(pair, 20, 7);
-  DeltaFeatureExtractor extractor(pair, train);
+  FeatureExtractor extractor(pair, train);
   extractor.Extract(candidates);
   EXPECT_TRUE(extractor.Refresh().empty());
   EXPECT_EQ(extractor.stats().refreshes, 1u);

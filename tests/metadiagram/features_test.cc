@@ -121,7 +121,8 @@ TEST(CatalogDefinitionTest, EngineAndExtractMatchReferenceBitwise) {
         FeatureExtractor extractor(pair, train, options);
         const Matrix x = extractor.Extract(every_pair);
         DiagramEvaluator evaluator(&ctx);
-        const auto& catalog = extractor.catalog();
+        const std::vector<MetaDiagram> catalog =
+            StandardDiagramCatalog(set, word_path);
         ASSERT_EQ(x.cols(), catalog.size() + 1);
         for (size_t k = 0; k < catalog.size(); ++k) {
           SparseMatrix reference = ReferenceCounts(ctx, catalog[k].root());

@@ -29,7 +29,6 @@
 #include "src/eval/report.h"
 #include "src/eval/runners.h"
 #include "src/graph/io.h"
-#include "src/metadiagram/covering_set.h"
 #include "src/metadiagram/features.h"
 
 namespace activeiter {
